@@ -7,54 +7,19 @@ paper-scale experiments (10,240 tasks) run in minutes.
 
 Measurement discipline: each round builds its scenario in pedantic
 ``setup`` and times ONLY ``engine.run()`` -- steady-state dispatch, no
-construction or teardown in the measured window.  Each benchmark also
-attaches a paired reference-vs-fastpath comparison to ``extra_info``
-(same scenario, best-of-N wall time on both dispatch paths, measured
-back-to-back in this process): ``fastpath_speedup`` is the ratio the
-fast path (see ``repro.sim.fastpath``) buys, tracked as data rather than
-asserted, since absolute host speed varies.
+construction or teardown in the measured window.  Throughput is the
+``extra_info`` count (events, transfers, simulated ops) over
+``stats.min``.
 """
-
-import time
 
 from repro.iosys.machine import MachineConfig, MiB
 from repro.iosys.posix import O_CREAT, O_RDWR, IoSystem
 from repro.mpi.runtime import World
 from repro.sim.engine import Engine
-from repro.sim.fastpath import forced_path
 from repro.sim.resources import SlotChannel
 from repro.sim.rng import RngStreams
 
 N_EVENTS = 20000
-#: rounds for the in-test paired path comparison (best-of-N each path)
-PAIR_ROUNDS = 5
-
-
-def _paired_speedup(build):
-    """Best-of-N ``engine.run()`` seconds on each dispatch path.
-
-    ``build`` returns a primed engine (work scheduled, not yet run);
-    construction stays outside the timed window, mirroring the pedantic
-    measurement.
-    """
-
-    def best(fast):
-        times = []
-        with forced_path(fast):
-            for _ in range(PAIR_ROUNDS):
-                engine = build()
-                t0 = time.perf_counter()
-                engine.run()
-                times.append(time.perf_counter() - t0)
-        return min(times)
-
-    reference_s = best(False)
-    fastpath_s = best(True)
-    return {
-        "reference_min_s": reference_s,
-        "fastpath_min_s": fastpath_s,
-        "fastpath_speedup": reference_s / fastpath_s,
-    }
 
 
 def _bench_run(benchmark, build, rounds=10):
@@ -83,11 +48,7 @@ def test_engine_timeout_throughput(benchmark):
             eng.process(proc())
         return eng
 
-    events = _bench_run(benchmark, build)
-    benchmark.extra_info["events"] = events
-    pair = _paired_speedup(build)
-    benchmark.extra_info.update(pair)
-    benchmark.extra_info["events_per_s"] = events / pair["fastpath_min_s"]
+    benchmark.extra_info["events"] = _bench_run(benchmark, build)
 
 
 def test_slot_channel_throughput(benchmark):
@@ -98,20 +59,13 @@ def test_slot_channel_throughput(benchmark):
             ch.transfer(1e6)
         return eng
 
-    events = _bench_run(benchmark, build)
-    benchmark.extra_info["events"] = events
-    pair = _paired_speedup(build)
-    benchmark.extra_info.update(pair)
-    benchmark.extra_info["transfers_per_s"] = 5000 / pair["fastpath_min_s"]
+    benchmark.extra_info["transfers"] = 5000
+    benchmark.extra_info["events"] = _bench_run(benchmark, build)
 
 
 def test_full_stack_ops_per_second(benchmark):
-    """Simulated I/O ops through MPI + client + cache + tracing.
-
-    The full stack spends most of its time above the dispatch loop, so
-    its ``fastpath_speedup`` is the honest end-to-end number (Amdahl),
-    not the microbenchmark ratio.
-    """
+    """Simulated I/O ops through MPI + client + cache + tracing; most of
+    the time goes above the dispatch loop."""
 
     def build():
         world = World(nranks=64)
@@ -138,9 +92,7 @@ def test_full_stack_ops_per_second(benchmark):
             )
         return world.engine
 
-    events = _bench_run(benchmark, build, rounds=5)
     benchmark.extra_info["sim_ops"] = 64 * 34
-    benchmark.extra_info["engine_events"] = events
-    pair = _paired_speedup(build)
-    benchmark.extra_info.update(pair)
-    benchmark.extra_info["sim_ops_per_s"] = (64 * 34) / pair["fastpath_min_s"]
+    benchmark.extra_info["engine_events"] = _bench_run(
+        benchmark, build, rounds=5
+    )

@@ -31,8 +31,7 @@ class MpiError(SimulationError):
 
 def _deliver(ev: Event, value: Any) -> None:
     """Succeed a message/collective event -- the completion the engine
-    schedules after the modelled transfer time (pooled on the fast path,
-    so this must stay a plain module function, not a closure)."""
+    schedules after the modelled transfer time."""
     ev.succeed(value)
 
 

@@ -17,19 +17,16 @@ creation order, so two runs with the same seeds produce identical traces.
 ``tests/test_golden_traces.py`` hashes canonicalised event streams of
 fixed-seed scenarios against committed digests.)
 
-The engine has two dispatch loops.  The **reference path** is the
-semantic ground truth: one priority queue of ``(time, seq, event)``
-popped in order.  The **fast path** (default, see
-:mod:`repro.sim.fastpath`) exploits an invariant of the reference
-formulation: an event scheduled *at the current instant* always carries
-a larger sequence number than every same-instant entry already in the
-heap, so it can be appended to a plain FIFO tail queue and dispatched
-after the heap drains past it -- same order, no ``heapq`` traffic.  The
-proof obligation (heap entries at instant ``t`` were pushed while
-``now < t`` and therefore precede every tail entry born at ``t``) is
-enforced by routing: in fast mode nothing with ``at == now`` ever enters
-the heap.  ``tests/test_fastpath_equivalence.py`` proves both paths
-byte-identical on every committed golden scenario.
+There is one dispatch loop.  Future events wait in a priority queue of
+``(time, seq, event)``; events scheduled at exactly the current instant
+(triggered events, zero-delay timeouts) go to a FIFO *tail* instead and
+never touch the heap.  Each step dispatches ``heap[0]`` while it is due
+at ``now``, then drains the tail, then advances time.  This is the order
+of a single ``(time, seq)`` heap: entries in the heap at instant ``t``
+were pushed while ``now < t``, so they precede every tail entry born at
+``t``.  ``tests/sim_reference.py`` keeps that single-heap formulation as
+an oracle, and ``tests/test_fastpath_equivalence.py`` proves the two
+dispatch-order identical.
 
 A process may abandon whatever another process is waiting on by calling
 :meth:`Process.interrupt`, which throws :class:`Interrupt` into it -- the
@@ -54,8 +51,6 @@ from typing import (
     Optional,
     Tuple,
 )
-
-from .fastpath import POOL_LIMIT, fastpath_default
 
 __all__ = [
     "Engine",
@@ -148,11 +143,6 @@ class _ConsumedType:
 
 _CONSUMED = _ConsumedType()
 
-#: permanent ``_callbacks`` value of pooled :class:`_Completion` events;
-#: lets the dispatch loop recognise them with the pointer compare it
-#: already does for the callbacks shape (no extra attribute load)
-_POOLED = _ConsumedType()
-
 
 class Event:
     """A one-shot occurrence in simulated time.
@@ -203,13 +193,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._value = value
-        # inlined engine._ready: triggering is the hottest schedule site
-        engine = self.engine
-        if engine._fast:
-            engine._tail.append(self)
-        else:
-            engine._seq += 1
-            heapq.heappush(engine._heap, (engine.now, engine._seq, self))
+        self.engine._tail.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -217,7 +201,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._exc = exc
-        self.engine._ready(self)
+        self.engine._tail.append(self)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -267,75 +251,29 @@ class Timeout(Event):
         self.delay = delay = float(delay)
         now = engine.now
         at = now + delay
-        if engine._fast:
-            if at > now:
-                # calendar bucket: all entries of one exact instant share
-                # a FIFO deque, so the heap holds only distinct times
-                buckets = engine._buckets
-                bucket = buckets.get(at)
-                if bucket is None:
-                    heapq.heappush(engine._times, at)
-                    buckets[at] = deque((self,))
-                else:
-                    bucket.append(self)
-            else:
-                # same-instant: FIFO tail keeps reference (time, seq)
-                # order without touching the heap (see module docstring)
-                engine._tail.append(self)
-        else:
+        if at > now:
             engine._seq += 1
             heapq.heappush(engine._heap, (at, engine._seq, self))
-
-
-class _Completion(Event):
-    """A pooled internal event: dispatching it calls ``fn(a, b)``.
-
-    The resource layer schedules one completion per service interval
-    (channel transfer, server request, pipe re-arm).  Those events are
-    invisible to user code -- nobody holds them, waits on them, or reads
-    their value -- so the fast path recycles the objects through
-    ``Engine._comp_pool`` instead of allocating a Timeout plus a closure
-    per completion.  Only :meth:`Engine._complete_later` creates these;
-    they must never escape to user code (a recycled event would alias).
-
-    ``_callbacks`` is permanently :data:`_POOLED`: nothing may wait on a
-    completion, and the sentinel lets the dispatch loop recognise one
-    from the ``_callbacks`` load it performs anyway.
-    """
-
-    __slots__ = ("_fn", "_a", "_b")
-
-    def __init__(self, engine: "Engine") -> None:
-        self.engine = engine
-        self._value = None
-        self._exc = None
-        self._triggered = True  # scheduled at birth, like a Timeout
-        self._callbacks = _POOLED
-        self._san = None
-        self._fn: Optional[Callable[[Any, Any], None]] = None
-        self._a: Any = None
-        self._b: Any = None
+        else:
+            # same instant (also a delay too small to move ``now``):
+            # the tail keeps (time, seq) order without heap traffic
+            engine._tail.append(self)
 
 
 class Process(Event):
     """A running generator.  Also an event: triggers when the generator
     returns (value = the generator's return value) or raises (fail)."""
 
-    __slots__ = ("_gen", "_send", "name", "_waiting_on", "_resume_cb")
+    __slots__ = ("_gen", "name", "_waiting_on", "_resume_cb")
 
     def __init__(self, engine: "Engine", gen: Generator, name: str = "") -> None:
         super().__init__(engine)
         self._gen = gen
-        #: bound ``gen.send`` -- saves a method lookup per wake-up in the
-        #: dispatch loop (``_gen`` stays around for ``throw``)
-        self._send = gen.send
         self.name = name or getattr(gen, "__name__", "process")
         self._waiting_on: Optional[Event] = None
-        #: what this process registers as a waiter: the process object
-        #: itself (callable via ``__call__ = _resume``), so the dispatch
-        #: loop can recognise a plain process wake-up with one exact
-        #: type check and run the generator step without a call frame
-        self._resume_cb: Callable[[Event], None] = self
+        #: bound once: a process re-registers this waiter on every
+        #: suspension, and :meth:`interrupt` detaches it by equality
+        self._resume_cb: Callable[[Event], None] = self._resume
         # Bootstrap: start the generator at time `now`.
         boot = Event(engine)
         boot.add_callback(self._resume_cb)
@@ -383,7 +321,7 @@ class Process(Event):
         previous = engine._active_process
         engine._active_process = self
         try:
-            target = self._send(event._value)
+            target = self._gen.send(event._value)
         except StopIteration as stop:
             engine._active_process = previous
             self.succeed(stop.value)
@@ -411,9 +349,6 @@ class Process(Event):
             callbacks.append(self._resume_cb)
         else:
             target._callbacks = [callbacks, self._resume_cb]
-
-    #: a process IS its own resume callback (see ``_resume_cb``)
-    __call__ = _resume
 
     def _throw(self, exc: BaseException) -> None:
         if self._triggered:
@@ -507,14 +442,9 @@ class AnyOf(Event):
 
 
 class Engine:
-    """The event loop: a priority queue of (time, seq, event).
-
-    ``fastpath`` picks the dispatch loop: ``None`` (default) defers to
-    :func:`repro.sim.fastpath.fastpath_default` (environment /
-    ``forced_path`` override), ``True``/``False`` pin this engine.  Both
-    paths are dispatch-order identical (proven by the differential
-    harness in ``tests/test_fastpath_equivalence.py``); the reference
-    path exists as the semantic ground truth and debugging fallback.
+    """The event loop: a heap of future ``(time, seq, event)`` entries
+    plus a FIFO tail of events due at ``now`` (see the module docstring
+    for why that is the order of a single heap).
 
     With ``sanitize=True`` the engine additionally runs the *sim-race
     detector*: resources and user processes may annotate scheduled
@@ -529,42 +459,19 @@ class Engine:
     """
 
     __slots__ = (
-        "now", "_heap", "_seq", "_tail", "_times", "_buckets",
-        "_comp_pool", "_ev_pool", "_tmo_pool", "_fast",
-        "_last_at", "_last_bucket",
+        "now", "_heap", "_seq", "_tail",
         "_active_process", "_crash_on_unhandled", "_event_count",
         "sanitize", "races", "_san_window_t", "_san_window",
     )
 
-    def __init__(
-        self, sanitize: bool = False, fastpath: Optional[bool] = None
-    ) -> None:
+    def __init__(self, sanitize: bool = False) -> None:
         self.now: float = 0.0
+        #: future events, ordered by (time, creation sequence)
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
-        #: same-instant FIFO (fast path only): events scheduled at
-        #: exactly ``now`` dispatch from here after the heap drains past
-        #: the instant -- identical order, no heap traffic
+        #: events due at exactly ``now``, in creation order; they
+        #: dispatch after the heap entries due at ``now``
         self._tail: Deque[Event] = deque()
-        #: calendar buckets (fast path only): future events grouped by
-        #: exact timestamp; ``_times`` is a heap of the distinct
-        #: timestamps, so heap traffic scales with instants, not events
-        self._times: List[float] = []
-        self._buckets: Dict[float, Deque[Event]] = {}
-        #: recycled event objects (fast path only): resource
-        #: completions, plain events, and timeouts whose refcount proves
-        #: no one else holds them at dispatch
-        self._comp_pool: List[_Completion] = []
-        self._ev_pool: List[Event] = []
-        self._tmo_pool: List[Timeout] = []
-        #: :meth:`timeout` bucket cache -- lock-step process groups
-        #: schedule runs of timeouts at the same instant, so remember the
-        #: last bucket and skip the dict probe.  Time moves forward on
-        #: the fast path, so a future instant can never collide with a
-        #: bucket that was already drained.
-        self._last_at: float = float("-inf")
-        self._last_bucket: Deque[Event] = deque()
-        self._fast = fastpath_default() if fastpath is None else bool(fastpath)
         self._active_process: Optional[Process] = None
         self._crash_on_unhandled = True
         self._event_count = 0
@@ -577,11 +484,6 @@ class Engine:
         # current timestamp, keyed by resource
         self._san_window_t: float = -1.0
         self._san_window: Dict[str, List[Tuple[str, bool, str]]] = {}
-
-    @property
-    def fastpath(self) -> bool:
-        """Which dispatch loop this engine runs (constructor-fixed)."""
-        return self._fast
 
     # -- sanitizer ----------------------------------------------------------
     def annotate(
@@ -601,8 +503,8 @@ class Engine:
         (e.g. two FIFO-server completions at one instant free lanes;
         which frees first cannot change which queued request is served
         next, the queue decides that).  Outside sanitize mode this is a
-        no-op returning the event unchanged, so call sites stay on the
-        fast path with a single attribute check.
+        no-op returning the event unchanged, so unsanitized call sites
+        pay a single attribute check.
         """
         if self.sanitize:
             event._san = (
@@ -645,55 +547,9 @@ class Engine:
 
     # -- factory helpers ----------------------------------------------------
     def event(self) -> Event:
-        pool = self._ev_pool
-        if pool:
-            # recycled (fast path only; the pool stays empty otherwise):
-            # reset every slot a previous life could have touched
-            ev = pool.pop()
-            ev._value = None
-            ev._exc = None
-            ev._triggered = False
-            ev._callbacks = None
-            ev._san = None
-            return ev
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        pool = self._tmo_pool
-        if pool:
-            # recycled (fast path only): _san/_value were cleared at
-            # recycle time, _exc is always None for a timeout
-            tmo = pool.pop()
-            tmo._value = value
-            # _triggered is still True from the previous cycle: timeouts
-            # are born triggered and nothing ever clears the flag
-            tmo._callbacks = None
-            tmo.delay = delay = float(delay)
-            now = self.now
-            at = now + delay
-            if at > now:
-                # reprolint: disable=D004 (bucket-cache key; exact identity is the contract)
-                if at == self._last_at:
-                    self._last_bucket.append(tmo)
-                else:
-                    buckets = self._buckets
-                    bucket = buckets.get(at)
-                    if bucket is None:
-                        heapq.heappush(self._times, at)
-                        buckets[at] = bucket = deque((tmo,))
-                    else:
-                        bucket.append(tmo)
-                    self._last_at = at
-                    self._last_bucket = bucket
-            elif delay < 0:
-                # checked off the hot path: a negative delay can only land
-                # here (at < now); hand the object back unscheduled
-                tmo._value = None
-                pool.append(tmo)
-                raise SimulationError(f"negative timeout: {delay!r}")
-            else:
-                self._tail.append(tmo)
-            return tmo
         return Timeout(self, delay, value)
 
     def timeout_until(self, at: float, value: Any = None) -> Timeout:
@@ -716,108 +572,58 @@ class Engine:
         return self._active_process
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, at: float, event: Event) -> None:
-        now = self.now
-        if at < now:
-            raise SimulationError(
-                f"cannot schedule into the past: {at} < now {self.now}"
-            )
-        if self._fast:
-            if at > now:
-                buckets = self._buckets
-                bucket = buckets.get(at)
-                if bucket is None:
-                    heapq.heappush(self._times, at)
-                    buckets[at] = deque((event,))
-                else:
-                    bucket.append(event)
-            else:
-                self._tail.append(event)
-        else:
-            self._seq += 1
-            heapq.heappush(self._heap, (at, self._seq, event))
-
-    def _ready(self, event: Event) -> None:
-        """Queue a just-triggered event for callback dispatch *now*."""
-        if self._fast:
-            self._tail.append(event)
-        else:
-            self._seq += 1
-            heapq.heappush(self._heap, (self.now, self._seq, event))
-
     def _complete_later(
         self, delay: float, fn: Callable[[Any, Any], None], a: Any, b: Any
     ) -> Event:
         """Schedule ``fn(a, b)`` to run ``delay`` simulated seconds from
         now; returns the scheduled event (for sanitizer annotation).
 
-        The resource-completion primitive: on the fast path the event is
-        a recycled :class:`_Completion` (no Timeout, no closure, no
-        callback list); on the reference path it is a plain Timeout with
-        a callback, dispatch-order identical.  Callers must treat the
-        returned event as opaque -- it may be recycled after firing.
+        The resource-completion primitive: one Timeout with one callback
+        per service interval (channel transfer, server request, pipe
+        re-arm, message delivery).
         """
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay!r}")
-        if self._fast:
-            pool = self._comp_pool
-            comp = pool.pop() if pool else _Completion(self)
-            comp._fn = fn
-            comp._a = a
-            comp._b = b
-            now = self.now
-            at = now + delay
-            if at > now:
-                # reprolint: disable=D004 (bucket-cache key; exact identity is the contract)
-                if at == self._last_at:
-                    self._last_bucket.append(comp)
-                else:
-                    buckets = self._buckets
-                    bucket = buckets.get(at)
-                    if bucket is None:
-                        heapq.heappush(self._times, at)
-                        buckets[at] = bucket = deque((comp,))
-                    else:
-                        bucket.append(comp)
-                    self._last_at = at
-                    self._last_bucket = bucket
-            else:
-                self._tail.append(comp)
-            return comp
         tmo = Timeout(self, delay)
         tmo.add_callback(lambda _ev: fn(a, b))
         return tmo
 
     # -- main loop -----------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
-        """Dispatch events until the queue drains or ``until`` is reached.
+        """Dispatch events until none are left or the next one is due
+        after ``until``; returns the simulated time when the loop stopped.
 
-        Returns the simulated time when the loop stopped.
+        With ``until``, the clock stops exactly at ``until``.  An
+        ``until`` before ``now`` is an error: simulated time never moves
+        backwards.
         """
-        if self._fast:
-            return self._run_fast(until)
-        return self._run_reference(until)
-
-    def _run_reference(self, until: Optional[float]) -> float:
-        """Ground-truth dispatch: pop the heap in (time, seq) order.
-
-        Never sees pooled events (``_complete_later`` uses Timeouts on
-        this path), so it stays the simplest possible formulation.
-        """
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"run(until={until!r}) is before the current simulated "
+                f"time now={self.now!r}; time cannot move backwards"
+            )
         heap = self._heap
+        tail = self._tail
+        pop = heapq.heappop
         sanitize = self.sanitize
-        while heap:
-            at, _seq, event = heap[0]
-            if until is not None and at > until:
-                self.now = until
-                return self.now
-            heapq.heappop(heap)
-            if at < self.now:
-                raise SimulationError("time went backwards")
-            self.now = at
+        now = self.now
+        while True:
+            if heap and heap[0][0] <= now:
+                # entries due now were pushed before this instant began,
+                # so they precede everything in the tail
+                event = pop(heap)[2]
+            elif tail:
+                event = tail.popleft()
+            elif heap:
+                at = heap[0][0]
+                if until is not None and at > until:
+                    self.now = until
+                    return until
+                self.now = now = at
+                event = pop(heap)[2]
+            else:
+                return now
             self._event_count += 1
             if sanitize and event._san is not None:
-                self._san_check(at, event)
+                self._san_check(now, event)
             callbacks = event._callbacks
             event._callbacks = _CONSUMED
             if callbacks is None:
@@ -827,170 +633,6 @@ class Engine:
                     fn(event)
             else:
                 callbacks(event)
-        return self.now
-
-    def _run_fast(self, until: Optional[float]) -> float:
-        """Flattened dispatch: drain the current instant's calendar
-        bucket first (its entries predate the instant, so their creation
-        order precedes everything born at it), then the same-instant
-        tail FIFO, then advance to the next distinct time.
-
-        Order-identical to :meth:`_run_reference` -- see the module
-        docstring for the invariant and the differential harness for the
-        proof on every committed golden.
-        """
-        times = self._times
-        buckets = self._buckets
-        tail = self._tail
-        comp_pool = self._comp_pool
-        ev_pool = self._ev_pool
-        tmo_pool = self._tmo_pool
-        pop_time = heapq.heappop
-        getrc = sys.getrefcount
-        sanitize = self.sanitize
-        now = self.now
-        count = self._event_count
-        # the dispatch loop itself never runs inside a process step, so
-        # the active process to restore after a fused send is loop-constant
-        base_active = self._active_process
-        # replicate the reference path's backwards-until quirk exactly:
-        # with work pending, time is clamped to `until` without
-        # dispatching; with nothing pending, `now` is left alone
-        if until is not None and until < now:
-            if times or tail:
-                self.now = until
-                # time moved backwards: a future instant may now collide
-                # with an already-drained bucket, so drop the cache
-                self._last_at = float("-inf")
-                return until
-            return now
-        #: the instant being drained (dispatches before `tail`)
-        cur: Optional[Deque[Event]] = None
-        try:
-            while True:
-                if cur:
-                    event = cur.popleft()
-                elif tail:
-                    event = tail.popleft()
-                elif times:
-                    at = times[0]
-                    if until is not None and at > until:
-                        self.now = now = until
-                        return now
-                    pop_time(times)
-                    cur = buckets.pop(at)
-                    self.now = now = at
-                    event = cur.popleft()
-                    # enforce the pool bound here, off the per-event path
-                    # (recycles between instant advances are bounded by
-                    # the instant's live events, so overshoot is modest)
-                    if len(tmo_pool) > POOL_LIMIT:
-                        del tmo_pool[POOL_LIMIT:]
-                    if len(ev_pool) > POOL_LIMIT:
-                        del ev_pool[POOL_LIMIT:]
-                else:
-                    return now
-                count += 1
-                if sanitize and event._san is not None:
-                    self._san_check(now, event)
-                callbacks = event._callbacks
-                if callbacks is _POOLED:
-                    # pooled resource completion: one direct call, then
-                    # recycle the object (bounded pool)
-                    event._fn(event._a, event._b)  # type: ignore[misc]
-                    if len(comp_pool) < POOL_LIMIT:
-                        event._fn = None  # type: ignore[attr-defined]
-                        event._a = None  # type: ignore[attr-defined]
-                        event._b = None  # type: ignore[attr-defined]
-                        event._san = None
-                        comp_pool.append(event)  # type: ignore[arg-type]
-                    continue
-                event._callbacks = _CONSUMED
-                if callbacks is None:
-                    pass
-                elif type(callbacks) is Process:
-                    # fused wake-up: a single waiting process is the
-                    # dominant dispatch shape, so run Process._resume's
-                    # send fast path without a call frame (a process
-                    # attaches itself as the waiter -- see _resume_cb)
-                    proc = callbacks
-                    if not proc._triggered:
-                        if event._exc is not None:
-                            proc._waiting_on = None
-                            proc._advance(proc._gen.throw, event._exc)
-                        else:
-                            self._active_process = proc
-                            try:
-                                target = proc._send(event._value)
-                            except StopIteration as stop:
-                                self._active_process = base_active
-                                # clear before recycling `event`: a stale
-                                # _waiting_on ref would veto the refcount
-                                # guard below
-                                proc._waiting_on = None
-                                proc.succeed(stop.value)
-                            except BaseException as exc:  # noqa: BLE001
-                                self._active_process = base_active
-                                proc._waiting_on = None
-                                if proc._callbacks or \
-                                        self._crash_on_unhandled is False:
-                                    proc.fail(exc)
-                                else:
-                                    raise
-                            else:
-                                self._active_process = base_active
-                                if not isinstance(target, Event):
-                                    raise SimulationError(
-                                        f"process {proc.name!r} yielded "
-                                        f"non-event {target!r}"
-                                    )
-                                proc._waiting_on = target
-                                tcbs = target._callbacks
-                                if tcbs is None:
-                                    target._callbacks = proc
-                                elif tcbs is _CONSUMED:
-                                    proc._resume(target)
-                                elif type(tcbs) is list:
-                                    tcbs.append(proc)
-                                else:
-                                    target._callbacks = [tcbs, proc]
-                                # drop the stale binding: a lingering
-                                # reference would veto the refcount-
-                                # guarded recycle of this very event at
-                                # its own dispatch
-                                target = None
-                elif type(callbacks) is list:
-                    for fn in callbacks:
-                        fn(event)
-                else:
-                    callbacks(event)
-                # Recycle exhausted plain events/timeouts.  The refcount
-                # guard (2 = the `event` local + getrefcount's argument)
-                # proves nobody else holds the object, so reuse cannot
-                # alias user state; subclasses (Process, AllOf, ...) are
-                # excluded by the exact type check.
-                cls = type(event)
-                if cls is Timeout:
-                    if getrc(event) == 2:
-                        event._value = None
-                        event._san = None
-                        tmo_pool.append(event)
-                elif cls is Event:
-                    if getrc(event) == 2:
-                        ev_pool.append(event)
-        finally:
-            # locals mirror engine state for speed; write back on every
-            # exit (including exceptions propagating out of callbacks),
-            # and re-stash a half-drained instant ahead of the tail so
-            # a crashed-and-resumed engine keeps the dispatch order
-            self.now = now
-            self._event_count = count
-            if cur:
-                tail.extendleft(reversed(cur))
-            if len(tmo_pool) > POOL_LIMIT:
-                del tmo_pool[POOL_LIMIT:]
-            if len(ev_pool) > POOL_LIMIT:
-                del ev_pool[POOL_LIMIT:]
 
     @property
     def event_count(self) -> int:

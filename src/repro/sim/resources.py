@@ -18,19 +18,16 @@ stack:
 All resources carry ``__slots__``: a paper-scale run keeps tens of
 thousands of service completions in flight, and slotted instances cut
 both the per-object memory and the attribute-access cost on the engine
-hot path.  Service completions are scheduled through
-``Engine._complete_later`` -- a pooled, closure-free completion on the
-fast path and a plain ``Timeout`` + callback on the reference path,
-dispatch-order identical (see ``tests/test_fastpath_equivalence.py``).
+hot path.  Each service completion is one ``Engine._complete_later``
+timeout whose callback frees the lane and triggers the caller's event.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from .engine import Engine, Event, SimulationError, _Completion
+from .engine import Engine, Event, SimulationError
 
 __all__ = [
     "FifoQueueMixin",
@@ -122,37 +119,9 @@ class SlotChannel(FifoQueueMixin):
             rate = self.bandwidth / self.slots
             duration = (nbytes / rate) * factor
             self.bytes_transferred += nbytes
-            if engine._fast and duration >= 0.0:
-                # Engine._complete_later's fast path, inlined: drains run
-                # once per service interval, so the call frame shows up
-                # in profiles (see that method for the slow/checked form)
-                pool = engine._comp_pool
-                completion = pool.pop() if pool else _Completion(engine)
-                completion._fn = self._finish_cb
-                completion._a = done
-                completion._b = duration
-                now = engine.now
-                at = now + duration
-                if at > now:
-                    # reprolint: disable=D004 (bucket-cache key; exact identity is the contract)
-                    if at == engine._last_at:
-                        engine._last_bucket.append(completion)
-                    else:
-                        buckets = engine._buckets
-                        bucket = buckets.get(at)
-                        if bucket is None:
-                            heappush(engine._times, at)
-                            buckets[at] = bucket = deque((completion,))
-                        else:
-                            bucket.append(completion)
-                        engine._last_at = at
-                        engine._last_bucket = bucket
-                else:
-                    engine._tail.append(completion)
-            else:
-                completion = engine._complete_later(
-                    duration, self._finish_cb, done, duration
-                )
+            completion = engine._complete_later(
+                duration, self._finish_cb, done, duration
+            )
             if engine.sanitize:
                 # Commutative: a completion frees a slot; which of two
                 # same-instant completions frees first cannot change which
@@ -165,15 +134,7 @@ class SlotChannel(FifoQueueMixin):
 
     def _finish(self, done: Event, duration: float) -> None:
         self._busy -= 1
-        # inlined done.succeed(duration) for the common case: one service
-        # completion per transfer makes this a hot trigger site
-        engine = self.engine
-        if engine._fast and not done._triggered:
-            done._triggered = True
-            done._value = duration
-            engine._tail.append(done)
-        else:
-            done.succeed(duration)
+        done.succeed(duration)
         self._drain()
 
 
@@ -342,37 +303,9 @@ class Server(FifoQueueMixin):
             self.bytes_served += nbytes
             self.requests_served += 1
             self.busy_time += duration
-            if engine._fast and duration >= 0.0:
-                # inlined Engine._complete_later fast path (same shape as
-                # SlotChannel._drain; see _complete_later for the checked
-                # form)
-                pool = engine._comp_pool
-                completion = pool.pop() if pool else _Completion(engine)
-                completion._fn = self._finish_cb
-                completion._a = done
-                completion._b = duration
-                now = engine.now
-                at = now + duration
-                if at > now:
-                    # reprolint: disable=D004 (bucket-cache key; exact identity is the contract)
-                    if at == engine._last_at:
-                        engine._last_bucket.append(completion)
-                    else:
-                        buckets = engine._buckets
-                        bucket = buckets.get(at)
-                        if bucket is None:
-                            heappush(engine._times, at)
-                            buckets[at] = bucket = deque((completion,))
-                        else:
-                            bucket.append(completion)
-                        engine._last_at = at
-                        engine._last_bucket = bucket
-                else:
-                    engine._tail.append(completion)
-            else:
-                completion = engine._complete_later(
-                    duration, self._finish_cb, done, duration
-                )
+            completion = engine._complete_later(
+                duration, self._finish_cb, done, duration
+            )
             if engine.sanitize:
                 # Commutative: same argument as SlotChannel -- completions
                 # free capacity, the FIFO queue alone picks the next
@@ -384,14 +317,7 @@ class Server(FifoQueueMixin):
 
     def _finish(self, done: Event, duration: float) -> None:
         self._busy -= 1
-        # inlined done.succeed(duration) -- see SlotChannel._finish
-        engine = self.engine
-        if engine._fast and not done._triggered:
-            done._triggered = True
-            done._value = duration
-            engine._tail.append(done)
-        else:
-            done.succeed(duration)
+        done.succeed(duration)
         self._drain()
 
 

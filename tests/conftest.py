@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.iosys.machine import MachineConfig, MiB
 from repro.iosys.posix import IoSystem
@@ -50,3 +53,15 @@ def iosys(engine, testbox) -> IoSystem:
 def run_ranks(world: World, fn, *args, **kwargs):
     """Convenience: run a rank generator on every rank of the world."""
     return world.run(fn, *args, **kwargs)
+
+
+# Hypothesis profiles: ``ci`` (the default) is derandomized, so every
+# tier-1 run draws the same examples and a pass stays a pass.  ``explore``
+# draws fresh examples on each run (1000 for tests that do not pin their
+# own ``max_examples``), for local or nightly bug hunting:
+#   HYPOTHESIS_PROFILE=explore python -m pytest tests/
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.register_profile(
+    "explore", max_examples=1000, derandomize=False, print_blob=True
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
