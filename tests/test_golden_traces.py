@@ -1,6 +1,6 @@
 """Golden-trace regression harness.
 
-Three small fixed-seed scenarios run end-to-end through the simulator and
+Small fixed-seed scenarios run end-to-end through the simulator and
 tracer; the canonicalised event stream is hashed and compared against the
 digests committed in ``tests/golden/*.json``.  Any change to simulator
 timing, event ordering, RNG draws, or trace schema shows up as a digest
@@ -89,7 +89,7 @@ def digest(result) -> dict:
     return out
 
 
-# -- the three scenarios -------------------------------------------------------
+# -- the scenarios -------------------------------------------------------
 
 def _scenario_ior_write():
     """IOR-style striped shared-file write, two repetitions."""
@@ -181,43 +181,81 @@ def _scenario_telemetry_healthy():
     return job.run(_shared_writer, 60, "/scratch/golden.dat")
 
 
-def _scenario_replica_failover():
-    """File-per-task records on 2-way mirrored stripes with a mid-run
-    OST stall: writes skip the stalled copy (marking it stale) and reads
-    steer to the surviving replica -- locks the replication subsystem's
-    placement, detection timeouts, and failover meta-events into the
-    golden digest."""
-    machine = MachineConfig.testbox(
+def _mirror_machine(faults, **extra):
+    return MachineConfig.testbox(
         n_osts=8,
         fs_bw=1024 * MiB,
         fs_read_bw=1024 * MiB,
         default_stripe_count=4,
         discipline_weights={2: 1.0},
     ).with_overrides(
-        faults=FaultSchedule.of(FaultWindow(STALL, 0.10, 0.60, device=2)),
+        faults=faults,
         client_retry=True,
         retry_base_timeout=0.05,
         retry_max_timeout=0.8,
         replica_count=2,
         failover_probe_interval=0.5,
+        **extra,
     )
 
-    def worker(ctx, nrec, base):
-        path = f"{base}.{ctx.rank:04d}"
-        ctx.iosys.set_stripe_count(path, 4)
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-        ctx.io.region("write")
-        for j in range(nrec):
-            yield from ctx.io.pwrite(fd, MiB, j * MiB)
-        yield from ctx.comm.barrier()
-        ctx.io.region("read")
-        for j in range(nrec):
-            yield from ctx.io.pread(fd, MiB, j * MiB)
-        yield from ctx.io.close(fd)
-        return None
 
+def _mirror_worker(ctx, nrec, base):
+    path = f"{base}.{ctx.rank:04d}"
+    ctx.iosys.set_stripe_count(path, 4)
+    fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
+    ctx.io.region("write")
+    for j in range(nrec):
+        yield from ctx.io.pwrite(fd, MiB, j * MiB)
+    yield from ctx.comm.barrier()
+    ctx.io.region("read")
+    for j in range(nrec):
+        yield from ctx.io.pread(fd, MiB, j * MiB)
+    yield from ctx.io.close(fd)
+    return None
+
+
+def _scenario_replica_failover():
+    """File-per-task records on 2-way mirrored stripes with a mid-run
+    OST stall: writes skip the stalled copy (marking it stale) and reads
+    steer to the surviving replica -- locks the replication subsystem's
+    placement, detection timeouts, and failover meta-events into the
+    golden digest."""
+    machine = _mirror_machine(
+        FaultSchedule.of(FaultWindow(STALL, 0.10, 0.60, device=2))
+    )
     job = SimJob(machine, 4, seed=17, placement="packed")
-    return job.run(worker, 12, "/scratch/mirror.dat")
+    return job.run(_mirror_worker, 12, "/scratch/mirror.dat")
+
+
+def _scenario_mirror_overlap_stall():
+    """2-way mirrored records whose primary and replica devices (2 and
+    its copy 6 = 2 + n_osts // 2) stall with overlapping windows, once
+    under the writes and once under the read-back: every copy of the
+    extent is unreachable, so writes poll all copies until one recovers
+    and reads, with every copy distrusted, probe reality -- locks the
+    mirror paths that fall back to polling into the golden digest."""
+    machine = _mirror_machine(
+        FaultSchedule.of(
+            FaultWindow(STALL, 0.02, 0.20, device=2),
+            FaultWindow(STALL, 0.03, 0.25, device=6),
+            FaultWindow(STALL, 0.45, 0.90, device=2),
+            FaultWindow(STALL, 0.50, 1.00, device=6),
+        )
+    )
+    job = SimJob(machine, 4, seed=17, placement="packed")
+    return job.run(_mirror_worker, 12, "/scratch/mirror.dat")
+
+
+def _scenario_mirror_no_failover():
+    """The ``replica_failover`` workload with client failover off: a
+    mirrored write must reach every copy, so it rides out the stall on
+    the union footprint instead of marking the stalled copy stale."""
+    machine = _mirror_machine(
+        FaultSchedule.of(FaultWindow(STALL, 0.10, 0.60, device=2)),
+        client_failover=False,
+    )
+    job = SimJob(machine, 4, seed=17, placement="packed")
+    return job.run(_mirror_worker, 12, "/scratch/mirror.dat")
 
 
 def _ec_machine(faults):
@@ -278,6 +316,22 @@ def _scenario_ec_healthy():
     return job.run(_ec_worker, 3, "/scratch/ecgold.dat")
 
 
+def _scenario_ec_double_loss():
+    """The coded workload with two data devices of one stripe group (2
+    and 3) stalled at once: a 4+1 code tolerates one loss per group, so
+    reads of the lost range cannot be rebuilt and poll with backoff
+    until a device recovers -- locks the past-tolerance path into the
+    golden digest."""
+    machine = _ec_machine(
+        FaultSchedule.of(
+            FaultWindow(STALL, 0.10, 0.60, device=2),
+            FaultWindow(STALL, 0.10, 0.60, device=3),
+        )
+    )
+    job = SimJob(machine, 4, seed=17, placement="packed")
+    return job.run(_ec_worker, 3, "/scratch/ecgold.dat")
+
+
 def _scenario_interference_mds_storm():
     """Two-tenant facility: a checkpoint-writing victim with a 16-task
     metadata storm arriving mid-run -- locks the multi-tenant scheduler's
@@ -320,8 +374,11 @@ SCENARIOS = {
     "madbench_read": _scenario_madbench_read,
     "slow_ost_stall": _scenario_slow_ost_stall,
     "replica_failover": _scenario_replica_failover,
+    "mirror_overlap_stall": _scenario_mirror_overlap_stall,
+    "mirror_no_failover": _scenario_mirror_no_failover,
     "ec_degraded_read": _scenario_ec_degraded_read,
     "ec_healthy": _scenario_ec_healthy,
+    "ec_double_loss": _scenario_ec_double_loss,
     "telemetry_stall": _scenario_telemetry_stall,
     "telemetry_healthy": _scenario_telemetry_healthy,
     "interference_mds_storm": _scenario_interference_mds_storm,
@@ -369,6 +426,41 @@ def test_ec_scenarios_bracket_the_fault():
     assert len(degraded.trace.filter(ops=["degraded-read"])) > 0
     assert healthy.meta["reconstructions"] == 0
     assert len(healthy.trace.filter(ops=["degraded-read"])) == 0
+
+
+def _retry_sizes(result, phase: str) -> list:
+    """Resend counts of the ``retry`` meta-events in one region."""
+    r = result.trace.filter(ops=["retry"])
+    return [int(n) for n, p in zip(r.sizes, r.phases) if p == phase]
+
+
+def test_mirror_overlap_bracket_the_poll():
+    """Both fallback polls must fire.  A failover write pays at most one
+    shared detection round, so a write with 2+ resends polled every
+    copy; a 2-way read distrusts at most one copy per resend before the
+    probe horizon, so a read with 3+ resends probed reality."""
+    res = SCENARIOS["mirror_overlap_stall"]()
+    assert max(_retry_sizes(res, "write")) >= 2
+    assert max(_retry_sizes(res, "read")) > 2
+
+
+def test_mirror_no_failover_bracket_the_ride_out():
+    """With failover off a stalled mirror copy is ridden out, never
+    skipped: the writes resend, but no op fails over and no copy is
+    marked stale."""
+    res = SCENARIOS["mirror_no_failover"]()
+    assert sum(_retry_sizes(res, "write")) > 0
+    assert res.meta["failovers"] == 0
+    assert len(res.trace.filter(ops=["failover"])) == 0
+    assert res.iosys.osts.stale_marks == 0
+
+
+def test_ec_double_loss_bracket_the_poll():
+    """A 1 MiB read touches one data device, so diagnosing it costs one
+    resend; a read with 2+ resends found its group past the code's
+    tolerance and polled."""
+    res = SCENARIOS["ec_double_loss"]()
+    assert max(_retry_sizes(res, "read")) >= 2
 
 
 def test_telemetry_is_pure_observation():
