@@ -153,7 +153,7 @@ def _locate_rebuilds(res) -> Dict[int, int]:
     events: Dict[int, int] = {}
     for path, f in sorted(res.iosys._files.items()):
         sub = res.trace.filter(path=path)
-        for r in find_rebuild_pressure(sub, f.erasure or f.layout):
+        for r in find_rebuild_pressure(sub, f.placement):
             events[r.ost] = events.get(r.ost, 0) + r.n_events
     return events
 
@@ -221,7 +221,7 @@ def run(scale: str = "paper", seed: int = 3) -> ExperimentResult:
             for f in diagnose(
                 light_ec.trace.filter(path=sick_paths[0]),
                 nranks=ntasks,
-                layout=sick_file.erasure,
+                layout=sick_file.placement,
             )
             if f.code == "ec-degraded"
         ]

@@ -271,7 +271,7 @@ def run(scale: str = "paper", seed: int = 7) -> ExperimentResult:
         ec_findings.extend(
             x
             for x in diagnose(
-                res_ec.trace.filter(path=path), layout=f.erasure
+                res_ec.trace.filter(path=path), layout=f.placement
             )
             if x.code == "ec-degraded"
         )

@@ -24,7 +24,7 @@ from .scheduler import (
     parse_arrival_spec,
     parse_tenant_spec,
 )
-from .striping import Extent, StripeLayout
+from .striping import Extent, Placement, StripeLayout
 from .telemetry import JobWindow, TelemetryCollector, TelemetryTimeline
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "ParityUpdate",
     "ReconstructionStep",
     "Extent",
+    "Placement",
     "StripeLayout",
     "TenantJob",
     "PoissonArrivals",

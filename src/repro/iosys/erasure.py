@@ -29,21 +29,22 @@ costs this module makes explicit:
   the tail like failover but loading every surviving device.
   :meth:`reconstruction_plan` picks the survivors.
 
-The object quacks like a :class:`StripeLayout` for the penalty model
-(``rpcs_for``, ``partial_stripes``, ...), with the same deliberate
-difference as :class:`ReplicatedLayout`: its :meth:`bytes_per_ost`
-reports the extent's *full device footprint* -- data bytes plus the
-parity bytes the extent's groups would update -- which is what write
-stall queries and slow-factor maxima must consult.  Data-only placement
-comes from :attr:`data_layout` (the base layout itself).
+The class answers the :class:`~repro.iosys.striping.Placement` contract:
+:attr:`layout` is the data placement (the base layout itself), the one
+entry of :attr:`copies` is that same base layout (the payload is written
+once), :meth:`parity_updates` lists the parity work, and
+:meth:`bytes_per_ost` / :meth:`osts_touched` report the extent's *full
+device footprint* -- data bytes plus the parity bytes the extent's
+groups would update -- which is what write stall queries and slow-factor
+maxima must consult.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .striping import Extent, StripeLayout
+from .striping import StripeLayout
 
 __all__ = ["ErasureCodedLayout", "ParityUpdate", "ReconstructionStep"]
 
@@ -105,55 +106,23 @@ class ErasureCodedLayout:
                 f"{self.k}+{self.m} vs {self.base.n_osts}"
             )
 
-    # -- delegation to the data layout -------------------------------------
+    # -- the placement contract ------------------------------------------
     @property
-    def data_layout(self) -> StripeLayout:
+    def layout(self) -> StripeLayout:
         """The plain data placement (identical to the file's primary
         layout, so locate/diagnose machinery composes unchanged)."""
         return self.base
 
     @property
-    def stripe_size(self) -> int:
-        return self.base.stripe_size
-
-    @property
-    def stripe_count(self) -> int:
-        return self.base.stripe_count
-
-    @property
-    def n_osts(self) -> int:
-        return self.base.n_osts
-
-    @property
-    def start_ost(self) -> int:
-        return self.base.start_ost
-
-    def stripe_of_offset(self, offset: int) -> int:
-        return self.base.stripe_of_offset(offset)
-
-    def rpcs_for(self, length: int, rpc_size: int) -> int:
-        return self.base.rpcs_for(length, rpc_size)
-
-    def partial_stripes(self, offset: int, length: int) -> int:
-        return self.base.partial_stripes(offset, length)
-
-    def boundary_crossings(self, offset: int, length: int) -> int:
-        return self.base.boundary_crossings(offset, length)
-
-    def is_aligned(self, offset: int, length: int) -> bool:
-        return self.base.is_aligned(offset, length)
-
-    def extents(self, offset: int, length: int) -> List[Extent]:
-        return self.base.extents(offset, length)
+    def copies(self) -> Tuple[StripeLayout, ...]:
+        """The payload is written once, to the data placement."""
+        return (self.base,)
 
     # -- group structure ---------------------------------------------------
     @property
     def redundancy(self) -> float:
         """Stored bytes per payload byte: ``(k + m) / k``."""
         return (self.k + self.m) / self.k
-
-    def group_of_stripe(self, stripe_index: int) -> int:
-        return stripe_index // self.k
 
     def data_osts(self, group: int) -> Tuple[int, ...]:
         """Devices of the group's ``k`` data units, unit order."""
@@ -194,13 +163,16 @@ class ErasureCodedLayout:
 
     # -- the parity-update write model -------------------------------------
     def _group_ranges(
-        self, offset: int, length: int
+        self, offset: int, length: int, on: Optional[Set[int]] = None
     ) -> Dict[int, List[Tuple[int, int]]]:
-        """Per-group intra-stripe byte ranges the extent writes."""
+        """Per-group intra-stripe byte ranges the extent covers (only
+        those on the devices ``on``, when given)."""
         ranges: Dict[int, List[Tuple[int, int]]] = {}
         for e in self.base.extents(offset, length):
+            if on is not None and e.ost not in on:
+                continue
             g = e.stripe_index // self.k
-            lo = e.offset - e.stripe_index * self.stripe_size
+            lo = e.offset - e.stripe_index * self.base.stripe_size
             ranges.setdefault(g, []).append((lo, lo + e.length))
         return ranges
 
@@ -233,7 +205,7 @@ class ErasureCodedLayout:
             if union <= 0:
                 continue
             covered = sum(hi - lo for lo, hi in ranges)
-            full = covered == self.k * self.stripe_size
+            full = covered == self.k * self.base.stripe_size
             out.append(
                 ParityUpdate(
                     group=g,
@@ -254,7 +226,7 @@ class ErasureCodedLayout:
         bytes its groups would update.  This is the set a *write* stall
         query must consult -- a stalled parity device blocks the commit
         just as a stalled data device does.  Data-only placement (what a
-        read touches) comes from ``data_layout.bytes_per_ost``."""
+        read touches) comes from ``layout.bytes_per_ost``."""
         acc: Dict[int, int] = dict(self.base.bytes_per_ost(offset, length))
         for upd in self.parity_updates(offset, length):
             for d in upd.parity_osts:
@@ -297,13 +269,7 @@ class ErasureCodedLayout:
         """
         lost_set = set(lost)
         avoid_set = set(avoid) | lost_set
-        per_group: Dict[int, List[Tuple[int, int]]] = {}
-        for e in self.base.extents(offset, length):
-            if e.ost not in lost_set:
-                continue
-            g = e.stripe_index // self.k
-            lo = e.offset - e.stripe_index * self.stripe_size
-            per_group.setdefault(g, []).append((lo, lo + e.length))
+        per_group = self._group_ranges(offset, length, on=lost_set)
         out: List[ReconstructionStep] = []
         for g, ranges in sorted(per_group.items()):
             survivors = [d for d in self.group_osts(g) if d not in avoid_set]

@@ -17,21 +17,24 @@ clipping the tail while the median -- served by healthy primaries --
 stays put.  Writes pay for the redundancy up front: every copy consumes
 real bandwidth and real RPCs on its own device.
 
-The object quacks like a :class:`~repro.iosys.striping.StripeLayout` for
-the penalty model (``rpcs_for``, ``partial_stripes``, ...), with one
-deliberate difference: its :meth:`bytes_per_ost` reports the extent's
-*full device footprint* (the union over all copies), which is exactly
-what stall queries need -- an extent is only unreachable when **every**
-copy of it is behind a stall.  Per-copy placement comes from
-:meth:`replica`, which returns a plain ``StripeLayout`` for that copy.
+The class answers the :class:`~repro.iosys.striping.Placement` contract:
+:attr:`layout` is the primary copy, :attr:`copies` lists every copy's
+plain :class:`~repro.iosys.striping.StripeLayout` (primary first, each
+written in full), :meth:`parity_updates` is empty, and
+:meth:`bytes_per_ost` / :meth:`osts_touched` report the extent's *full
+device footprint* -- the union over all copies -- which is what a
+write that must reach every copy, telemetry and slow-device queries
+consult.  Per-copy reachability (can copy ``r`` serve this read?) comes
+from querying ``copies[r]`` or :meth:`replica` instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
-from .striping import Extent, StripeLayout
+from .striping import StripeLayout
 
 __all__ = ["ReplicatedLayout"]
 
@@ -51,38 +54,6 @@ class ReplicatedLayout:
                 f"replica_count must be in [1, n_osts]: "
                 f"{self.replica_count} vs {self.base.n_osts}"
             )
-
-    # -- delegation to the primary copy ------------------------------------
-    @property
-    def stripe_size(self) -> int:
-        return self.base.stripe_size
-
-    @property
-    def stripe_count(self) -> int:
-        return self.base.stripe_count
-
-    @property
-    def n_osts(self) -> int:
-        return self.base.n_osts
-
-    @property
-    def start_ost(self) -> int:
-        return self.base.start_ost
-
-    def stripe_of_offset(self, offset: int) -> int:
-        return self.base.stripe_of_offset(offset)
-
-    def rpcs_for(self, length: int, rpc_size: int) -> int:
-        return self.base.rpcs_for(length, rpc_size)
-
-    def partial_stripes(self, offset: int, length: int) -> int:
-        return self.base.partial_stripes(offset, length)
-
-    def boundary_crossings(self, offset: int, length: int) -> int:
-        return self.base.boundary_crossings(offset, length)
-
-    def is_aligned(self, offset: int, length: int) -> bool:
-        return self.base.is_aligned(offset, length)
 
     # -- placement ------------------------------------------------------------
     @property
@@ -113,9 +84,18 @@ class ReplicatedLayout:
             % self.base.n_osts,
         )
 
-    def layouts(self) -> Tuple[StripeLayout, ...]:
+    @property
+    def layout(self) -> StripeLayout:
+        """The primary copy's layout."""
+        return self.base
+
+    @cached_property
+    def copies(self) -> Tuple[StripeLayout, ...]:
         """Every copy's layout, primary first."""
         return tuple(self.replica(r) for r in range(self.replica_count))
+
+    def parity_updates(self, offset: int, length: int) -> Tuple[()]:
+        return ()
 
     def ost_of_stripe(self, stripe_index: int, r: int = 0) -> int:
         """OST serving copy ``r`` of the given stripe."""
@@ -127,10 +107,6 @@ class ReplicatedLayout:
             self.ost_of_stripe(stripe_index, r)
             for r in range(self.replica_count)
         )
-
-    def extents(self, offset: int, length: int, r: int = 0) -> List[Extent]:
-        """Per-stripe extents of copy ``r`` for ``[offset, offset+length)``."""
-        return self.replica(r).extents(offset, length)
 
     def bytes_per_ost(self, offset: int, length: int) -> Dict[int, int]:
         """The extent's full device footprint: bytes each OST holds summed
@@ -144,10 +120,8 @@ class ReplicatedLayout:
         ``r`` serve this read?" -- comes from querying ``replica(r)``'s
         own (single-copy) footprint instead."""
         acc: Dict[int, int] = {}
-        for r in range(self.replica_count):
-            for ost, nbytes in self.replica(r).bytes_per_ost(
-                offset, length
-            ).items():
+        for copy in self.copies:
+            for ost, nbytes in copy.bytes_per_ost(offset, length).items():
                 acc[ost] = acc.get(ost, 0) + nbytes
         return acc
 
@@ -155,8 +129,8 @@ class ReplicatedLayout:
         """Devices of the full footprint (all copies), primary copy first."""
         seen: set = set()
         out: List[int] = []
-        for r in range(self.replica_count):
-            for ost in self.replica(r).osts_touched(offset, length):
+        for copy in self.copies:
+            for ost in copy.osts_touched(offset, length):
                 if ost not in seen:
                     seen.add(ost)
                     out.append(ost)

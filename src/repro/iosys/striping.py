@@ -8,14 +8,40 @@ functions here answer the questions the penalty model needs:
 - how many stripe *boundaries* does an extent cross,
 - which stripes are only *partially* covered (triggering read-modify-write
   at the server for writes).
+
+Every file's *placement* answers the small :class:`Placement` contract.
+A plain file's placement is its :class:`StripeLayout`; mirrored and
+erasure-coded files wrap one (``replication.py``, ``erasure.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Protocol, Sequence, Tuple
 
-__all__ = ["StripeLayout", "Extent"]
+__all__ = ["StripeLayout", "Extent", "Placement"]
+
+
+class Placement(Protocol):
+    """Where a file's bytes live: the contract the client, the OST pool
+    and telemetry consult without knowing the placement scheme."""
+
+    @property
+    def layout(self) -> "StripeLayout":
+        """The data (or primary-copy) stripe layout."""
+
+    @property
+    def copies(self) -> Tuple["StripeLayout", ...]:
+        """The layouts that each receive the full payload of a write."""
+
+    def parity_updates(self, offset: int, length: int) -> Sequence:
+        """Parity work a write extent owes (empty unless coded)."""
+
+    def bytes_per_ost(self, offset: int, length: int) -> Dict[int, int]:
+        """Bytes each device holds of the extent: the full footprint."""
+
+    def osts_touched(self, offset: int, length: int) -> Tuple[int, ...]:
+        """The full footprint's devices, without duplicates."""
 
 
 @dataclass(frozen=True)
@@ -51,6 +77,18 @@ class StripeLayout:
             )
         if not (0 <= self.start_ost < self.n_osts):
             raise ValueError("start_ost out of range")
+
+    # -- the placement contract: a plain file is its own single copy --------
+    @property
+    def layout(self) -> "StripeLayout":
+        return self
+
+    @property
+    def copies(self) -> Tuple["StripeLayout", ...]:
+        return (self,)
+
+    def parity_updates(self, offset: int, length: int) -> Tuple[()]:
+        return ()
 
     def ost_of_stripe(self, stripe_index: int) -> int:
         """OST serving the given stripe (round-robin placement)."""

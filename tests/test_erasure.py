@@ -53,7 +53,8 @@ def test_layout_validates_code_parameters():
 
 def test_data_layout_is_the_base():
     ec = _ec()
-    assert ec.data_layout is ec.base
+    assert ec.layout is ec.base
+    assert ec.copies == (ec.base,)
     assert ec.redundancy == pytest.approx(1.25)
 
 
@@ -108,7 +109,7 @@ def test_group_spanning_write_updates_both_groups():
 
 def test_bytes_per_ost_includes_the_parity_footprint():
     ec = _ec()
-    data_only = ec.data_layout.bytes_per_ost(0, GROUP)
+    data_only = ec.layout.bytes_per_ost(0, GROUP)
     full = ec.bytes_per_ost(0, GROUP)
     parity = set(full) - set(data_only)
     assert parity == set(ec.parity_osts(0))
@@ -189,10 +190,9 @@ def _create(iosys, path):
 
 def test_files_inherit_the_machine_code():
     f = _create(_iosys(ec_k=2, ec_m=1), "/scratch/a")
-    assert f.erasure is not None
-    assert (f.erasure.k, f.erasure.m) == (2, 1)
-    assert f.erasure.base is f.layout
-    assert f.replication is None
+    assert isinstance(f.placement, ErasureCodedLayout)
+    assert (f.placement.k, f.placement.m) == (2, 1)
+    assert f.placement.base is f.layout
 
 
 def test_set_erasure_overrides_per_path():
@@ -200,11 +200,12 @@ def test_set_erasure_overrides_per_path():
     iosys.set_stripe_count("/scratch/b", 4)
     iosys.set_erasure("/scratch/b", 4, 1)
     f = _create(iosys, "/scratch/b")
-    assert (f.erasure.k, f.erasure.m) == (4, 1)
+    assert (f.placement.k, f.placement.m) == (4, 1)
     # and k = m = 0 disables a machine-wide default
     iosys2 = _iosys(ec_k=2, ec_m=1)
     iosys2.set_erasure("/scratch/c", 0, 0)
-    assert _create(iosys2, "/scratch/c").erasure is None
+    f2 = _create(iosys2, "/scratch/c")
+    assert f2.placement is f2.layout
 
 
 def test_set_erasure_rejects_bad_values():
@@ -322,7 +323,7 @@ def test_rebuild_pressure_names_the_lost_device():
     votes = {}
     for path, f in res.iosys._files.items():
         sub = res.trace.filter(path=path)
-        for r in find_rebuild_pressure(sub, f.erasure):
+        for r in find_rebuild_pressure(sub, f.placement):
             votes[r.ost] = votes.get(r.ost, 0) + r.n_events
     assert votes
     assert max(votes, key=votes.get) == SICK
@@ -338,7 +339,7 @@ def test_diagnose_reports_ec_degraded():
     findings = [
         f2
         for f2 in diagnose(res.trace.filter(path=path), nranks=4,
-                           layout=f.erasure)
+                           layout=f.placement)
         if f2.code == "ec-degraded"
     ]
     assert findings

@@ -26,6 +26,7 @@ from repro.iosys.faults import STALL, FaultSchedule, FaultWindow
 from repro.iosys.machine import MachineConfig, KiB, MiB
 from repro.iosys.posix import O_CREAT, O_RDWR
 from repro.iosys.striping import StripeLayout
+from tests.test_replication_properties import replicated_layouts
 
 N_OSTS = 8
 
@@ -69,7 +70,7 @@ def test_any_m_losses_are_reconstructible(ec, group, data):
         st.lists(st.sampled_from(units), min_size=n_lost,
                  max_size=n_lost, unique=True)
     )
-    span = ec.k * ec.stripe_size
+    span = ec.k * ec.base.stripe_size
     steps = ec.reconstruction_plan(group * span, span, tuple(lost))
     for step in steps:
         assert step.group == group
@@ -93,12 +94,37 @@ def test_losses_beyond_tolerance_raise(ec, group, data):
                      max_size=ec.m + 1, unique=True)
         )
     )
-    span = ec.k * ec.stripe_size
+    span = ec.k * ec.base.stripe_size
     try:
         ec.reconstruction_plan(group * span, span, tuple(lost))
     except ValueError:
         return
     raise AssertionError("reconstruction past the tolerance must raise")
+
+
+def placements():
+    """Every placement kind: plain, mirrored and erasure-coded."""
+    return st.one_of(
+        replicated_layouts().map(lambda rep: rep.base),
+        replicated_layouts(),
+        coded_layouts(),
+    )
+
+
+@given(placements(), st.integers(0, 64 * MiB), st.integers(0, 8 * MiB))
+def test_footprint_contract(placement, offset, length):
+    """Telemetry and health attribute an op to ``osts_touched`` while
+    stall and slow queries use ``bytes_per_ost``: both must name the
+    same devices, and the bytes must add up to one payload per copy
+    plus the parity."""
+    touched = placement.osts_touched(offset, length)
+    per_ost = placement.bytes_per_ost(offset, length)
+    assert len(set(touched)) == len(touched)
+    assert set(touched) == set(per_ost)
+    parity = sum(
+        u.total_parity_bytes for u in placement.parity_updates(offset, length)
+    )
+    assert sum(per_ost.values()) == length * len(placement.copies) + parity
 
 
 # -- simulation invariants -----------------------------------------------------

@@ -47,7 +47,8 @@ def test_layout_validates_replica_count():
 def test_replica_zero_is_the_primary():
     rep = ReplicatedLayout(_layout(start=3), 2)
     assert rep.replica(0) is rep.base
-    assert rep.start_ost == 3
+    assert rep.layout.start_ost == 3
+    assert rep.copies[0] is rep.base
 
 
 def test_replica_shift_spreads_copies():
@@ -72,7 +73,7 @@ def test_bytes_per_ost_is_the_union_footprint():
 def test_extents_land_on_the_replica_device():
     rep = ReplicatedLayout(_layout(start=1), 3)
     for r in range(3):
-        for e in rep.extents(2 * MiB, RECORD, r):
+        for e in rep.replica(r).extents(2 * MiB, RECORD):
             assert e.ost == rep.ost_of_stripe(2, r)
 
 
@@ -115,9 +116,9 @@ def test_files_inherit_the_machine_replica_count():
     for _ in gen:
         pass
     f = iosys.lookup("/scratch/a")
-    assert f.replication is not None
-    assert f.replication.replica_count == 2
-    assert f.replication.base is f.layout
+    assert isinstance(f.placement, ReplicatedLayout)
+    assert f.placement.replica_count == 2
+    assert f.placement.base is f.layout
 
 
 def test_set_replica_count_overrides_per_path():
@@ -127,7 +128,7 @@ def test_set_replica_count_overrides_per_path():
     gen = posix.open("/scratch/b", O_CREAT | O_RDWR)
     for _ in gen:
         pass
-    assert iosys.lookup("/scratch/b").replication.replica_count == 3
+    assert iosys.lookup("/scratch/b").placement.replica_count == 3
 
 
 def test_set_replica_count_rejects_bad_values():
@@ -256,7 +257,7 @@ def test_masked_fault_with_every_ost_holding_a_copy():
     votes = {}
     for path, f in res.iosys._files.items():
         sub = res.trace.filter(path=path)
-        for m in find_masked_faults(sub, f.replication or f.layout):
+        for m in find_masked_faults(sub, f.placement):
             votes[m.ost] = votes.get(m.ost, 0) + m.n_events
     # attribution through the union footprint spreads over the pool;
     # the sick device must at least be among the accused

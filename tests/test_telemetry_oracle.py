@@ -183,10 +183,9 @@ def ec_run():
 
 def _findings(res, path, codes):
     f = res.iosys.lookup(path)
-    lay = f.erasure or f.layout
     return [
         x
-        for x in diagnose(res.trace.filter(path=path), layout=lay)
+        for x in diagnose(res.trace.filter(path=path), layout=f.placement)
         if x.code in codes
     ]
 
@@ -363,7 +362,7 @@ class TestEcDegraded:
             findings = [
                 x
                 for x in diagnose(
-                    ec_run.trace.filter(path=path), layout=f.erasure
+                    ec_run.trace.filter(path=path), layout=f.placement
                 )
                 if x.code == "ec-degraded"
             ]
@@ -381,7 +380,7 @@ class TestEcDegraded:
         for path, f in sorted(ec_run.iosys._files.items()):
             located.extend(
                 find_rebuild_pressure(
-                    ec_run.trace.filter(path=path), f.erasure or f.layout
+                    ec_run.trace.filter(path=path), f.placement
                 )
             )
         assert any(r.ost == 2 for r in located)
@@ -393,7 +392,7 @@ class TestEcDegraded:
     def test_wrong_device_contradicted(self, ec_run):
         for path, f in sorted(ec_run.iosys._files.items()):
             located = find_rebuild_pressure(
-                ec_run.trace.filter(path=path), f.erasure or f.layout
+                ec_run.trace.filter(path=path), f.placement
             )
             if located:
                 wrong = replace(located[0], ost=(located[0].ost + 3) % 8)
