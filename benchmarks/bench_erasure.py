@@ -6,7 +6,7 @@ regenerates the ``erasure`` experiment at small scale and asserts its
 verdicts, so the timing record doubles as a reproduction check of the
 tentpole acceptance criteria: an m=1 code matches the 2-way mirror's
 read-tail improvement within 10% while writing ~1/k redundant bytes to
-the mirror's 1.0x, and the rebuild-pressure analysis names the stalled
+the mirror's 1.0x, and the averted-fault analysis names the stalled
 device from the trace alone.
 """
 

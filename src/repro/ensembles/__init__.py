@@ -12,12 +12,10 @@ from .histogram import (
 )
 from .lln import LlnPrediction, narrowing_report, per_task_totals, predict_sum
 from .locate import (
-    MaskedFault,
+    AvertedFault,
     OstSuspect,
-    RebuildPressure,
     TransientFault,
-    find_masked_faults,
-    find_rebuild_pressure,
+    find_averted_faults,
     find_slow_osts,
     find_transient_faults,
     ost_ensembles,
@@ -31,10 +29,8 @@ from .oracle import (
     OracleVerdict,
     verify_finding,
     verify_findings,
-    verify_masked,
-    verify_rebuilds,
+    verify_located,
     verify_slow_osts,
-    verify_transients,
 )
 from .plots import plot_cdfs, plot_curve, plot_histogram, plot_rate_curve
 from .order_stats import (
@@ -68,12 +64,10 @@ __all__ = [
     "rate_histogram",
     "OstSuspect",
     "TransientFault",
-    "MaskedFault",
-    "RebuildPressure",
+    "AvertedFault",
     "find_slow_osts",
     "find_transient_faults",
-    "find_masked_faults",
-    "find_rebuild_pressure",
+    "find_averted_faults",
     "ost_ensembles",
     "LlnPrediction",
     "narrowing_report",
@@ -90,10 +84,8 @@ __all__ = [
     "OracleVerdict",
     "verify_finding",
     "verify_findings",
-    "verify_masked",
-    "verify_rebuilds",
+    "verify_located",
     "verify_slow_osts",
-    "verify_transients",
     "plot_cdfs",
     "plot_curve",
     "plot_histogram",

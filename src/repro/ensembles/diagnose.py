@@ -29,18 +29,17 @@ expressed as a test over the trace's ensembles.
                             :func:`~repro.ensembles.locate.find_transient_faults`.
 - ``failover-masked-fault`` clustered ``failover`` meta-events -> a device
                             went dark but replica failover absorbed the
-                            tail; the finding names the sick device (via
-                            :func:`~repro.ensembles.locate.find_masked_faults`
-                            when the layout is supplied) and the stall
-                            time the steering averted, so the fault is
-                            repaired *before* it ever costs a run.
+                            tail; repair the device and resync its mirrors
+                            *before* the fault ever costs a run.
 - ``ec-degraded``           clustered ``degraded-read`` meta-events -> a
                             data device was lost but erasure-coded reads
-                            were rebuilt from the stripe groups' survivors;
-                            the finding names the lost device (via
-                            :func:`~repro.ensembles.locate.find_rebuild_pressure`
-                            when the layout is supplied) and the rebuild
-                            fan-out the rest of the pool is carrying.
+                            were rebuilt from the stripe groups' survivors,
+                            a fan-out the rest of the pool keeps carrying.
+                            Both averted-fault findings come from one check:
+                            given the placement it names the device steered
+                            around (via
+                            :func:`~repro.ensembles.locate.find_averted_faults`)
+                            and the stall time the steering averted.
 - ``cross-tenant-interference``  (multi-tenant facilities, via
                             :func:`find_interference`) a victim job's slow
                             interval lines up with a co-resident tenant
@@ -51,12 +50,14 @@ expressed as a test over the trace's ensembles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from ..ipm.events import READ_OPS, WRITE_OPS, Trace
+from ..iosys.striping import Placement
 from .distribution import EmpiricalDistribution
+from .locate import AVERTED_CODES, find_averted_faults, find_transient_faults
 from .modes import detect_modes, harmonics
 from .progress import deterioration_trend, phase_progress
 
@@ -91,14 +92,17 @@ def diagnose(
     fair_share_rate: Optional[float] = None,
     stripe_size: Optional[int] = None,
     phase_prefix: Optional[str] = None,
-    layout=None,
+    layout: Optional[Placement] = None,
 ) -> List[Finding]:
     """Run every diagnostic over a trace; findings sorted by severity.
 
-    ``layout`` (a :class:`~repro.iosys.striping.StripeLayout`, known to the
-    analyst because it is how the file was created) enables device-level
-    localisation of transient faults; without it the transient check still
-    runs, but reports the time window only.
+    ``layout`` is the file's :class:`~repro.iosys.striping.Placement` --
+    plain, mirrored or erasure-coded, known to the analyst because it is
+    how the file was created.  It enables device-level localisation of
+    the fault checks: transient faults are attributed through the
+    placement's full footprint, averted faults (failover, degraded
+    reads) through its data ``layout``.  Without it those checks still
+    run, but report the time window only.
     """
     findings: List[Finding] = []
     nranks = nranks if nranks is not None else (
@@ -119,8 +123,7 @@ def diagnose(
         findings.extend(_check_alignment(trace, stripe_size))
     findings.extend(_check_lln(trace, nranks))
     findings.extend(_check_transient_fault(trace, layout))
-    findings.extend(_check_failover_mask(trace, layout))
-    findings.extend(_check_ec_degraded(trace, layout))
+    findings.extend(_check_averted(trace, layout))
 
     findings.sort(key=lambda f: f.severity, reverse=True)
     return findings
@@ -408,7 +411,9 @@ def _check_alignment(trace: Trace, stripe_size: int) -> List[Finding]:
     ]
 
 
-def _check_transient_fault(trace: Trace, layout=None) -> List[Finding]:
+def _check_transient_fault(
+    trace: Trace, layout: Optional[Placement] = None
+) -> List[Finding]:
     """Storage health changed mid-run: a contiguous window of far-slower
     events (and/or clustered client RPC retries), healthy on both sides.
 
@@ -417,8 +422,6 @@ def _check_transient_fault(trace: Trace, layout=None) -> List[Finding]:
     reports the window alone, from the time-clustering of slow events.
     """
     if layout is not None:
-        from .locate import find_transient_faults
-
         suspects = find_transient_faults(trace, layout)
         if not suspects:
             return []
@@ -519,165 +522,122 @@ def _check_transient_fault(trace: Trace, layout=None) -> List[Finding]:
     ]
 
 
-def _check_failover_mask(trace: Trace, layout=None) -> List[Finding]:
-    """A device went dark mid-run but client-side replica failover
-    absorbed the cost: the evidence is not slow events (there are none --
-    that is the point) but the ``failover`` meta-events the steering left
-    behind, each carrying the stall time it averted.
+class _AvertedText(NamedTuple):
+    """How an averted-fault finding words one meta-event kind."""
 
-    With a layout the verdict names the device the clients routed around
-    (:func:`~repro.ensembles.locate.find_masked_faults`); without one it
-    reports the failover window alone.  Severity stays moderate: the
-    fault was *masked*, so this is a repair ticket, not a post-mortem.
+    #: what the steered ops did, after "{n} " (``{units}`` = n_units)
+    located: str
+    window: str
+    #: evidence key for :attr:`~repro.ensembles.locate.AvertedFault.n_units`
+    units_key: str
+    located_rec: str
+    window_rec: str
+
+
+_AVERTED_TEXT: Dict[str, _AvertedText] = {
+    "failover": _AvertedText(
+        located="ops failed over to replica copies",
+        window="ops failed over to replica copies",
+        units_key="n_failovers",
+        located_rec=(
+            "replication hid this fault from run time, but the "
+            "skipped copies are stale and redundancy is reduced; "
+            "check the device and resync its mirrors before the "
+            "next fault lands on the surviving copy"
+        ),
+        window_rec=(
+            "a device went dark but replication absorbed it; re-run "
+            "the analysis with the file's stripe layout to name the "
+            "device, then resync its mirrors"
+        ),
+    ),
+    "degraded-read": _AvertedText(
+        located=(
+            "reads were rebuilt from parity "
+            "({units} stripe groups reconstructed)"
+        ),
+        window="reads were served degraded (rebuilt from parity)",
+        units_key="n_groups",
+        located_rec=(
+            "erasure coding hid this fault from run time, but "
+            "every degraded read fans out across the group's "
+            "survivors and redundancy is reduced; replace the "
+            "device and rebuild its units before a second loss "
+            "exceeds the code's tolerance"
+        ),
+        window_rec=(
+            "a data device was lost but erasure coding absorbed it; "
+            "re-run the analysis with the file's layout to name the "
+            "device, then rebuild its units"
+        ),
+    ),
+}
+
+
+def _check_averted(
+    trace: Trace, layout: Optional[Placement] = None
+) -> List[Finding]:
+    """A device went dark mid-run but a redundant placement absorbed the
+    cost -- replica failover steered ops to a surviving copy, or erasure
+    coding rebuilt reads from the stripe groups' survivors.  The evidence
+    is not slow events (there are none -- that is the point) but the
+    meta-events the steering left behind, each carrying the stall time
+    it averted.  One finding per meta-event kind.
+
+    With a placement the verdict names the device steered around
+    (:func:`~repro.ensembles.locate.find_averted_faults`); without one it
+    reports the window alone.  Severity stays moderate: the fault was
+    *masked*, so this is a repair ticket, not a post-mortem -- though a
+    degraded code keeps loading all ``k`` survivors of every rebuilt
+    group until the device is replaced.
     """
-    fos = trace.filter(ops=["failover"])
-    if len(fos) == 0:
-        return []
     wall = trace.span or 1.0
-    if layout is not None:
-        from .locate import find_masked_faults
-
-        masked = find_masked_faults(trace, layout)
-        if not masked:
-            return []
-        top = masked[0]
-        sev = min(0.3 + 0.5 * (top.masked_time / wall), 0.8)
-        return [
+    located = find_averted_faults(trace, layout) if layout is not None else []
+    findings: List[Finding] = []
+    for op, code in AVERTED_CODES.items():
+        text = _AVERTED_TEXT[op]
+        if layout is not None:
+            top = next((f for f in located if f.op == op), None)
+            if top is None:
+                continue
+            device, n = top.ost, top.n_events
+            w0, w1, worst = top.t_start, top.t_end, top.masked_time
+            head = (
+                f"OST {top.ost} went unreachable during "
+                f"[{w0:.1f}s, {w1:.1f}s] but {n} "
+                + text.located.format(units=top.n_units)
+            )
+            recommendation = text.located_rec
+            units = {text.units_key: float(top.n_units)}
+        else:
+            meta = trace.filter(ops=[op])
+            if len(meta) == 0:
+                continue
+            device, n = -1, len(meta)
+            w0, w1 = float(meta.starts.min()), float(meta.ends.max())
+            worst = float(meta.durations.max())
+            head = f"{n} {text.window} during [{w0:.1f}s, {w1:.1f}s]"
+            recommendation = text.window_rec
+            units = {}
+        findings.append(
             Finding(
-                code="failover-masked-fault",
-                severity=float(sev),
+                code=code,
+                severity=float(min(0.3 + 0.5 * (worst / wall), 0.8)),
                 message=(
-                    f"OST {top.ost} went unreachable during "
-                    f"[{top.t_start:.1f}s, {top.t_end:.1f}s] but "
-                    f"{top.n_events} ops failed over to replica copies, "
-                    f"averting up to {top.masked_time:.1f}s of stall per op"
+                    f"{head}, averting up to {worst:.1f}s of stall per op"
                 ),
-                recommendation=(
-                    "replication hid this fault from run time, but the "
-                    "skipped copies are stale and redundancy is reduced; "
-                    "check the device and resync its mirrors before the "
-                    "next fault lands on the surviving copy"
-                ),
+                recommendation=recommendation,
                 evidence={
-                    "device": float(top.ost),
-                    "t_start": top.t_start,
-                    "t_end": top.t_end,
-                    "masked_time": top.masked_time,
-                    "n_events": float(top.n_events),
-                    "n_failovers": float(top.n_failovers),
+                    "device": float(device),
+                    "t_start": w0,
+                    "t_end": w1,
+                    "masked_time": worst,
+                    "n_events": float(n),
+                    **units,
                 },
             )
-        ]
-    # no layout: report the failover window from the meta-events alone
-    w0 = float(fos.starts.min())
-    w1 = float(fos.ends.max())
-    worst = float(fos.durations.max())
-    sev = min(0.3 + 0.5 * (worst / wall), 0.8)
-    return [
-        Finding(
-            code="failover-masked-fault",
-            severity=float(sev),
-            message=(
-                f"{len(fos)} ops failed over to replica copies during "
-                f"[{w0:.1f}s, {w1:.1f}s], averting up to {worst:.1f}s of "
-                f"stall per op"
-            ),
-            recommendation=(
-                "a device went dark but replication absorbed it; re-run "
-                "the analysis with the file's stripe layout to name the "
-                "device, then resync its mirrors"
-            ),
-            evidence={
-                "device": -1.0,
-                "t_start": w0,
-                "t_end": w1,
-                "masked_time": worst,
-                "n_events": float(len(fos)),
-            },
         )
-    ]
-
-
-def _check_ec_degraded(trace: Trace, layout=None) -> List[Finding]:
-    """A data device was lost mid-run but erasure coding kept serving its
-    reads degraded: the evidence is the ``degraded-read`` meta-events each
-    rebuild left behind, carrying the stall time it averted.
-
-    With a layout the verdict names the lost device
-    (:func:`~repro.ensembles.locate.find_rebuild_pressure`); without one
-    it reports the rebuild window alone.  Severity stays moderate -- the
-    run survived -- but unlike a masked mirror fault the cost is ongoing:
-    every degraded read loads all ``k`` survivors of its group, so the
-    pool is paying a fan-out tax until the device is replaced.
-    """
-    drs = trace.filter(ops=["degraded-read"])
-    if len(drs) == 0:
-        return []
-    wall = trace.span or 1.0
-    if layout is not None:
-        from .locate import find_rebuild_pressure
-
-        pressure = find_rebuild_pressure(trace, layout)
-        if not pressure:
-            return []
-        top = pressure[0]
-        sev = min(0.3 + 0.5 * (top.masked_time / wall), 0.8)
-        return [
-            Finding(
-                code="ec-degraded",
-                severity=float(sev),
-                message=(
-                    f"OST {top.ost} went unreachable during "
-                    f"[{top.t_start:.1f}s, {top.t_end:.1f}s] but "
-                    f"{top.n_events} reads were rebuilt from parity "
-                    f"({top.n_groups} stripe groups reconstructed), "
-                    f"averting up to {top.masked_time:.1f}s of stall per op"
-                ),
-                recommendation=(
-                    "erasure coding hid this fault from run time, but "
-                    "every degraded read fans out across the group's "
-                    "survivors and redundancy is reduced; replace the "
-                    "device and rebuild its units before a second loss "
-                    "exceeds the code's tolerance"
-                ),
-                evidence={
-                    "device": float(top.ost),
-                    "t_start": top.t_start,
-                    "t_end": top.t_end,
-                    "masked_time": top.masked_time,
-                    "n_events": float(top.n_events),
-                    "n_groups": float(top.n_groups),
-                },
-            )
-        ]
-    # no layout: report the rebuild window from the meta-events alone
-    w0 = float(drs.starts.min())
-    w1 = float(drs.ends.max())
-    worst = float(drs.durations.max())
-    sev = min(0.3 + 0.5 * (worst / wall), 0.8)
-    return [
-        Finding(
-            code="ec-degraded",
-            severity=float(sev),
-            message=(
-                f"{len(drs)} reads were served degraded (rebuilt from "
-                f"parity) during [{w0:.1f}s, {w1:.1f}s], averting up to "
-                f"{worst:.1f}s of stall per op"
-            ),
-            recommendation=(
-                "a data device was lost but erasure coding absorbed it; "
-                "re-run the analysis with the file's layout to name the "
-                "device, then rebuild its units"
-            ),
-            evidence={
-                "device": -1.0,
-                "t_start": w0,
-                "t_end": w1,
-                "masked_time": worst,
-                "n_events": float(len(drs)),
-            },
-        )
-    ]
+    return findings
 
 
 def _check_lln(trace: Trace, nranks: int) -> List[Finding]:

@@ -18,30 +18,44 @@ the time axis: a device that is only slow inside one contiguous window --
 and healthy on either side -- is a *transient* fault (a stall, a rebuild
 that finished), and the analysis reports the window as well as the
 device, so the verdict can be checked against operator logs.
+:func:`find_averted_faults` names the device a redundant placement
+(mirror failover, erasure-coded rebuild) steered around, from the
+meta-events the steering left behind.
+
+Every finder takes the file's :class:`~repro.iosys.striping.Placement`.
+Slow and transient events are attributed to its full footprint (every
+copy, data and parity unit the op touched); averted events to its data
+``layout``, the units the client could not reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Tuple
 
 import numpy as np
 
 from ..ipm.events import DATA_OPS, Trace
-from ..iosys.striping import Placement, StripeLayout
+from ..iosys.striping import Placement
 from .distribution import EmpiricalDistribution
 
 __all__ = [
+    "AVERTED_CODES",
     "OstSuspect",
     "TransientFault",
-    "MaskedFault",
-    "RebuildPressure",
+    "AvertedFault",
     "ost_ensembles",
     "find_slow_osts",
     "find_transient_faults",
-    "find_masked_faults",
-    "find_rebuild_pressure",
+    "find_averted_faults",
 ]
+
+#: meta-event a redundant placement leaves when it steers around a device
+#: -> the diagnosis code of the fault it averted
+AVERTED_CODES: Dict[str, str] = {
+    "failover": "failover-masked-fault",
+    "degraded-read": "ec-degraded",
+}
 
 
 @dataclass(frozen=True)
@@ -57,7 +71,7 @@ class OstSuspect:
 
 
 def ost_ensembles(
-    trace: Trace, layout: StripeLayout, ops: Tuple[str, ...] = ("write", "pwrite")
+    trace: Trace, layout: Placement, ops: Tuple[str, ...] = ("write", "pwrite")
 ) -> Dict[int, EmpiricalDistribution]:
     """Group per-event durations by the OSTs that served each event.
 
@@ -86,7 +100,7 @@ def ost_ensembles(
 
 def find_slow_osts(
     trace: Trace,
-    layout: StripeLayout,
+    layout: Placement,
     ops: Tuple[str, ...] = ("write", "pwrite"),
     threshold: float = 2.0,
 ) -> List[OstSuspect]:
@@ -120,6 +134,8 @@ def find_slow_osts(
 class TransientFault:
     """A device that was sick for one contiguous stretch of the run."""
 
+    code: ClassVar[str] = "transient-fault"
+
     ost: int
     t_start: float
     t_end: float
@@ -134,7 +150,7 @@ class TransientFault:
 
 def find_transient_faults(
     trace: Trace,
-    layout: StripeLayout,
+    layout: Placement,
     ops: Tuple[str, ...] = DATA_OPS,
     threshold: float = 4.0,
     min_events: int = 3,
@@ -176,21 +192,14 @@ def find_transient_faults(
         return []
     flagged = ok & (per_byte >= threshold * pool_median)
 
-    # extent length of each data op, keyed by (rank, offset), so retry
-    # meta-events (whose ``size`` is the resend count) can be attributed
-    # to every OST the stalled op's extent touches
-    extent_of: Dict[Tuple[int, int], int] = {}
-    for rank, off, size in zip(sub.ranks, offsets, sizes):
-        extent_of[(int(rank), int(off))] = int(size)
     retries = trace.filter(ops=["retry"])
     retry_by_ost: Dict[int, int] = {}
     retry_spans: Dict[int, List[Tuple[float, float]]] = {}
-    for r_rank, r_off, r_count, r_t0, r_dur in zip(
-        retries.ranks, retries.offsets, retries.sizes,
-        retries.starts, retries.durations,
+    for osts, r_count, r_t0, r_dur in zip(
+        _annotated_osts(retries, sub, layout),
+        retries.sizes, retries.starts, retries.durations,
     ):
-        length = extent_of.get((int(r_rank), int(r_off)), 1)
-        for ost in layout.bytes_per_ost(int(r_off), max(length, 1)):
+        for ost in osts:
             retry_by_ost[ost] = retry_by_ost.get(ost, 0) + int(r_count)
             retry_spans.setdefault(ost, []).append(
                 (float(r_t0), float(r_t0 + r_dur))
@@ -255,175 +264,96 @@ def find_transient_faults(
 
 
 @dataclass(frozen=True)
-class MaskedFault:
-    """A sick device whose tail cost replica failover absorbed.
+class AvertedFault:
+    """A sick device whose tail cost a redundant placement absorbed.
 
-    The dual of :class:`TransientFault`: with client-side failover the
-    stalled OST never shows up as slow events -- the damage was *averted*,
-    not suffered.  The evidence is the trace's ``failover`` meta-events,
-    each recording how many copies an op steered around (``size``) and
-    the stall time the steer saved (``duration``).  Attributing them to
-    the failing op's **primary** extent placement names the device the
-    clients were routing around.
+    The dual of :class:`TransientFault`: when the client steers around a
+    stalled OST -- failing over to a mirror copy, or rebuilding the read
+    from the ``k`` survivors of an erasure-coded stripe group -- the
+    device never shows up as slow events; the damage was *averted*, not
+    suffered.  The evidence is the meta-events the steering left behind
+    (``op``), each recording how many units it steered around (``size``:
+    copies bypassed or stripe groups reconstructed) and the stall time
+    it saved (``duration``).
     """
 
     ost: int
+    #: the meta-event kind: ``"failover"`` or ``"degraded-read"``
+    op: str
     #: data ops that steered around this device
     n_events: int
-    #: replica copies bypassed in total (>= n_events)
-    n_failovers: int
+    #: copies bypassed or stripe groups reconstructed in total (>= n_events)
+    n_units: int
     #: the largest single averted stall window (seconds) -- the tail time
     #: one ride-out on this device would have cost
     masked_time: float
     t_start: float
     t_end: float
 
+    @property
+    def code(self) -> str:
+        return AVERTED_CODES[self.op]
 
-def find_masked_faults(
+
+def _annotated_osts(
+    meta: Trace, data: Trace, layout: Placement
+) -> List[Tuple[int, ...]]:
+    """The OSTs of the data op each meta-event annotates.
+
+    A meta-event shares (rank, offset) with its data op but reuses the
+    ``size`` column for its own count, so the op's extent length is
+    recovered from ``data`` and mapped through ``layout``."""
+    extent_of = {
+        (int(rank), int(off)): int(size)
+        for rank, off, size in zip(data.ranks, data.offsets, data.sizes)
+    }
+    return [
+        tuple(layout.bytes_per_ost(
+            int(off), max(extent_of.get((int(rank), int(off)), 1), 1)
+        ))
+        for rank, off in zip(meta.ranks, meta.offsets)
+    ]
+
+
+def find_averted_faults(
     trace: Trace,
-    layout: StripeLayout,
+    placement: Placement,
     min_events: int = 1,
-) -> List[MaskedFault]:
-    """Localise the devices that client failover steered around.
+) -> List[AvertedFault]:
+    """Localise the devices a redundant placement steered around.
 
-    Each ``failover`` meta-event shares (rank, offset) with the data op it
-    annotates, so the op's extent length is recoverable from the data
-    stream and the event maps -- through the *primary* layout, the copy
-    the client abandoned -- onto the OSTs it was routed away from.
-    Devices collecting at least ``min_events`` such events are reported,
-    worst averted stall first.
+    Each ``failover`` / ``degraded-read`` meta-event maps -- through the
+    placement's data ``layout``, the primary copy the client abandoned or
+    the data units it could not reach -- onto the OSTs it was routed away
+    from.  Devices collecting at least ``min_events`` events of one kind
+    are reported per kind, worst averted stall first.
 
     Overlapping ops all observe the same remaining stall window, so the
     per-device masked time is the *maximum* averted duration, not a sum
     (a sum would count one window once per bypassing op).
     """
-    fos = trace.filter(ops=["failover"])
-    if len(fos) == 0:
+    meta = trace.filter(ops=list(AVERTED_CODES))
+    if len(meta) == 0:
         return []
-    sub = trace.data_ops()
-    extent_of: Dict[Tuple[int, int], int] = {}
-    for rank, off, size in zip(sub.ranks, sub.offsets, sub.sizes):
-        extent_of[(int(rank), int(off))] = int(size)
-
-    n_events: Dict[int, int] = {}
-    n_failovers: Dict[int, int] = {}
-    masked: Dict[int, float] = {}
-    spans: Dict[int, List[Tuple[float, float]]] = {}
-    for f_rank, f_off, f_count, f_t0, f_dur in zip(
-        fos.ranks, fos.offsets, fos.sizes, fos.starts, fos.durations
+    found: Dict[Tuple[str, int], AvertedFault] = {}
+    for op, osts, count, t0, dur in zip(
+        meta.ops,
+        _annotated_osts(meta, trace.data_ops(), placement.layout),
+        meta.sizes, meta.starts, meta.durations,
     ):
-        length = extent_of.get((int(f_rank), int(f_off)), 1)
-        for ost in layout.bytes_per_ost(int(f_off), max(length, 1)):
-            n_events[ost] = n_events.get(ost, 0) + 1
-            n_failovers[ost] = n_failovers.get(ost, 0) + int(f_count)
-            masked[ost] = max(masked.get(ost, 0.0), float(f_dur))
-            spans.setdefault(ost, []).append(
-                (float(f_t0), float(f_t0 + f_dur))
-            )
-
-    out: List[MaskedFault] = []
-    for ost, count in n_events.items():
-        if count < min_events:
-            continue
-        hull = spans[ost]
-        out.append(
-            MaskedFault(
+        start, end = float(t0), float(t0 + dur)
+        for ost in osts:
+            f = found.get((op, ost))
+            f = f or AvertedFault(ost, op, 0, 0, 0.0, start, end)
+            found[op, ost] = AvertedFault(
                 ost=ost,
-                n_events=count,
-                n_failovers=n_failovers[ost],
-                masked_time=masked[ost],
-                t_start=min(lo for lo, _ in hull),
-                t_end=max(hi for _, hi in hull),
+                op=op,
+                n_events=f.n_events + 1,
+                n_units=f.n_units + int(count),
+                masked_time=max(f.masked_time, float(dur)),
+                t_start=min(f.t_start, start),
+                t_end=max(f.t_end, end),
             )
-        )
-    out.sort(key=lambda f: (f.masked_time, f.n_events), reverse=True)
-    return out
-
-
-@dataclass(frozen=True)
-class RebuildPressure:
-    """A lost device whose reads erasure coding served by reconstruction.
-
-    The erasure-coded sibling of :class:`MaskedFault`: with k+m placement
-    a stalled data device costs one detection timeout, after which every
-    read touching it is rebuilt from the ``k`` survivors of its stripe
-    group -- the stall never shows up as slow events, but each rebuild
-    leaves a ``degraded-read`` meta-event (``size`` = stripe groups
-    reconstructed, ``duration`` = the stall time the rebuild averted).
-    Attributing those through the file's *data* placement names the
-    device the survivors were rebuilding, and the group counts measure
-    the fan-out load the rebuild spread over the rest of the pool.
-    """
-
-    ost: int
-    #: reads served degraded that touched this device
-    n_events: int
-    #: stripe groups reconstructed in total (>= n_events)
-    n_groups: int
-    #: the largest single averted stall window (seconds)
-    masked_time: float
-    t_start: float
-    t_end: float
-
-
-def find_rebuild_pressure(
-    trace: Trace,
-    layout: Placement,
-    min_events: int = 1,
-) -> List[RebuildPressure]:
-    """Localise the devices degraded erasure-coded reads rebuilt around.
-
-    Each ``degraded-read`` meta-event shares (rank, offset) with the data
-    op it annotates, so the op's extent length is recoverable from the
-    data stream and the event maps -- through the *data* placement, the
-    units the client could not reach -- onto the candidate lost devices.
-    ``layout`` is the file's placement (a plain :class:`StripeLayout` is
-    one); its data ``layout`` is used.  Devices collecting at least
-    ``min_events`` such events are reported, worst averted stall first.
-
-    Like :func:`find_masked_faults`, overlapping ops observe the same
-    remaining stall window, so per-device masked time is the *maximum*
-    averted duration, not a sum.
-    """
-    data_layout = layout.layout
-    drs = trace.filter(ops=["degraded-read"])
-    if len(drs) == 0:
-        return []
-    sub = trace.data_ops()
-    extent_of: Dict[Tuple[int, int], int] = {}
-    for rank, off, size in zip(sub.ranks, sub.offsets, sub.sizes):
-        extent_of[(int(rank), int(off))] = int(size)
-
-    n_events: Dict[int, int] = {}
-    n_groups: Dict[int, int] = {}
-    masked: Dict[int, float] = {}
-    spans: Dict[int, List[Tuple[float, float]]] = {}
-    for d_rank, d_off, d_count, d_t0, d_dur in zip(
-        drs.ranks, drs.offsets, drs.sizes, drs.starts, drs.durations
-    ):
-        length = extent_of.get((int(d_rank), int(d_off)), 1)
-        for ost in data_layout.bytes_per_ost(int(d_off), max(length, 1)):
-            n_events[ost] = n_events.get(ost, 0) + 1
-            n_groups[ost] = n_groups.get(ost, 0) + int(d_count)
-            masked[ost] = max(masked.get(ost, 0.0), float(d_dur))
-            spans.setdefault(ost, []).append(
-                (float(d_t0), float(d_t0 + d_dur))
-            )
-
-    out: List[RebuildPressure] = []
-    for ost, count in n_events.items():
-        if count < min_events:
-            continue
-        hull = spans[ost]
-        out.append(
-            RebuildPressure(
-                ost=ost,
-                n_events=count,
-                n_groups=n_groups[ost],
-                masked_time=masked[ost],
-                t_start=min(lo for lo, _ in hull),
-                t_end=max(hi for _, hi in hull),
-            )
-        )
+    out = [f for f in found.values() if f.n_events >= min_events]
     out.sort(key=lambda f: (f.masked_time, f.n_events), reverse=True)
     return out

@@ -29,13 +29,13 @@ the reported window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..iosys.faults import DEGRADE, STALL
 from ..iosys.health import QUARANTINE, READMIT, REBUILD, SHED, HealAction
 from ..iosys.telemetry import TelemetryTimeline
 from .diagnose import Finding
-from .locate import MaskedFault, OstSuspect, RebuildPressure, TransientFault
+from .locate import AvertedFault, OstSuspect, TransientFault
 
 __all__ = [
     "CONFIRMED",
@@ -48,9 +48,7 @@ __all__ = [
     "verify_healing",
     "verify_interference",
     "verify_slow_osts",
-    "verify_transients",
-    "verify_masked",
-    "verify_rebuilds",
+    "verify_located",
 ]
 
 CONFIRMED = "CONFIRMED"
@@ -67,7 +65,6 @@ _TRUTH_KINDS: Dict[str, Tuple[str, ...]] = {
     "transient-fault": (STALL, DEGRADE),
     "failover-masked-fault": (STALL,),
     "ec-degraded": (STALL,),
-    "rebuild-pressure": (STALL,),
     # self-healing control actions: a quarantine (and the rebuild it
     # triggers) is "true" when the device really was stalled or degraded
     # inside the action's window
@@ -155,6 +152,38 @@ _ORDER = {CONTRADICTED: 0, UNVERIFIED: 1, CONFIRMED: 2}
 def _report(verdicts: List[OracleVerdict]) -> OracleReport:
     verdicts.sort(key=lambda v: _ORDER[v.verdict])
     return OracleReport(verdicts=tuple(verdicts))
+
+
+def _unverified(
+    code: str,
+    t0: float,
+    t1: float,
+    detail: str,
+    device: Optional[int] = None,
+) -> OracleVerdict:
+    return OracleVerdict(
+        code=code,
+        verdict=UNVERIFIED,
+        device=device,
+        truth_devices=(),
+        t_start=t0,
+        t_end=t1,
+        device_match=None,
+        window_match=None,
+        overlap=0.0,
+        detail=detail,
+    )
+
+
+def _claim(
+    evidence: Dict[str, float], timeline: TelemetryTimeline
+) -> Tuple[Optional[int], float, float]:
+    """The device (None when device-less) and window a finding claims."""
+    raw_dev = evidence.get("device", -1.0)
+    device = None if raw_dev is None or raw_dev < 0 else int(raw_dev)
+    t0 = float(evidence.get("t_start", 0.0))
+    t1 = float(evidence.get("t_end", timeline.span))
+    return device, t0, t1
 
 
 # -- the per-claim check --------------------------------------------------------
@@ -269,23 +298,11 @@ def verify_finding(
     diagnostics) come back UNVERIFIED.
     """
     if finding.code not in _TRUTH_KINDS:
-        return OracleVerdict(
-            code=finding.code,
-            verdict=UNVERIFIED,
-            device=None,
-            truth_devices=(),
-            t_start=0.0,
-            t_end=timeline.span,
-            device_match=None,
-            window_match=None,
-            overlap=0.0,
-            detail="no server-side ground truth for this finding kind",
+        return _unverified(
+            finding.code, 0.0, timeline.span,
+            "no server-side ground truth for this finding kind",
         )
-    ev = finding.evidence
-    raw_dev = ev.get("device", -1.0)
-    device = None if raw_dev is None or raw_dev < 0 else int(raw_dev)
-    t0 = float(ev.get("t_start", 0.0))
-    t1 = float(ev.get("t_end", timeline.span))
+    device, t0, t1 = _claim(finding.evidence, timeline)
     return _judge(timeline, finding.code, device, t0, t1, slack)
 
 
@@ -358,45 +375,19 @@ def verify_slow_osts(
     return _report(verdicts)
 
 
-def _verify_located(
-    code: str,
-    items: Sequence,
+def verify_located(
+    items: Sequence[Union[TransientFault, AvertedFault]],
     timeline: TelemetryTimeline,
-    slack: float,
+    slack: float = WINDOW_SLACK,
 ) -> OracleReport:
+    """Score located faults from :mod:`~repro.ensembles.locate`, each
+    under its own finding ``code`` (one list may mix kinds)."""
     return _report(
         [
-            _judge(timeline, code, it.ost, it.t_start, it.t_end, slack)
+            _judge(timeline, it.code, it.ost, it.t_start, it.t_end, slack)
             for it in items
         ]
     )
-
-
-def verify_transients(
-    faults: Sequence[TransientFault],
-    timeline: TelemetryTimeline,
-    slack: float = WINDOW_SLACK,
-) -> OracleReport:
-    """Score :func:`~repro.ensembles.locate.find_transient_faults`."""
-    return _verify_located("transient-fault", faults, timeline, slack)
-
-
-def verify_masked(
-    faults: Sequence[MaskedFault],
-    timeline: TelemetryTimeline,
-    slack: float = WINDOW_SLACK,
-) -> OracleReport:
-    """Score :func:`~repro.ensembles.locate.find_masked_faults`."""
-    return _verify_located("failover-masked-fault", faults, timeline, slack)
-
-
-def verify_rebuilds(
-    pressure: Sequence[RebuildPressure],
-    timeline: TelemetryTimeline,
-    slack: float = WINDOW_SLACK,
-) -> OracleReport:
-    """Score :func:`~repro.ensembles.locate.find_rebuild_pressure`."""
-    return _verify_located("rebuild-pressure", pressure, timeline, slack)
 
 
 # -- self-healing control actions ------------------------------------------------
@@ -549,17 +540,9 @@ def verify_healing(
             verdicts.append(_shed_verdict(timeline, act, slack))
         else:
             verdicts.append(
-                OracleVerdict(
-                    code=f"heal-{act.kind}",
-                    verdict=UNVERIFIED,
-                    device=act.device,
-                    truth_devices=(),
-                    t_start=t0,
-                    t_end=t1,
-                    device_match=None,
-                    window_match=None,
-                    overlap=0.0,
-                    detail="unknown healing action kind",
+                _unverified(
+                    f"heal-{act.kind}", t0, t1,
+                    "unknown healing action kind", device=act.device,
                 )
             )
     return _report(verdicts)
@@ -576,10 +559,7 @@ def _interference_verdict(
     ev = finding.evidence
     agg = int(ev.get("aggressor", -1))
     victim = int(ev.get("victim", -1))
-    t0 = float(ev.get("t_start", 0.0))
-    t1 = float(ev.get("t_end", timeline.span))
-    raw_dev = ev.get("device", -1.0)
-    device = None if raw_dev is None or raw_dev < 0 else int(raw_dev)
+    device, t0, t1 = _claim(ev, timeline)
     is_mds = bool(ev.get("mds", 0.0))
     lo, hi = t0 - slack, t1 + slack
 
@@ -683,17 +663,9 @@ def verify_interference(
     for f in findings:
         if f.code != "cross-tenant-interference":
             verdicts.append(
-                OracleVerdict(
-                    code=f.code,
-                    verdict=UNVERIFIED,
-                    device=None,
-                    truth_devices=(),
-                    t_start=0.0,
-                    t_end=timeline.span,
-                    device_match=None,
-                    window_match=None,
-                    overlap=0.0,
-                    detail="not an interference attribution",
+                _unverified(
+                    f.code, 0.0, timeline.span,
+                    "not an interference attribution",
                 )
             )
             continue

@@ -13,7 +13,7 @@ single-stripe sub-records.  Sub-stripe reads matter twice: only tasks
 whose read actually lands on the stalled device go degraded (the classic
 tail shape -- the median task never sees the fault), and each
 ``degraded-read`` meta-event then maps through the data placement onto
-exactly one device, so the rebuild-pressure analysis can name the lost
+exactly one device, so the averted-fault analysis can name the lost
 OST with no ambiguity.
 
 A sweep over protection scheme x stall severity:
@@ -29,7 +29,7 @@ A sweep over protection scheme x stall severity:
 
 Verdicts assert the tentpole acceptance criteria: EC m=1 matches the
 mirror's tail improvement within 10% while writing ~1/k redundant bytes
-to the mirror's 1.0x; the median stays flat; the rebuild-pressure merge
+to the mirror's 1.0x; the median stays flat; the averted-fault merge
 and ``diagnose`` name the stalled device from the trace alone; healthy
 runs reconstruct nothing.
 """
@@ -42,7 +42,7 @@ import numpy as np
 
 from ..apps.harness import SimJob
 from ..ensembles.diagnose import diagnose
-from ..ensembles.locate import find_rebuild_pressure
+from ..ensembles.locate import find_averted_faults
 from ..iosys.faults import STALL, FaultSchedule, FaultWindow
 from ..iosys.machine import MachineConfig, MiB
 from ..iosys.posix import O_CREAT, O_RDWR
@@ -145,7 +145,7 @@ def _redundant_ratio(res, payload: int) -> float:
 
 
 def _locate_rebuilds(res) -> Dict[int, int]:
-    """Per-file rebuild-pressure attribution, merged over the namespace.
+    """Per-file degraded-read attribution, merged over the namespace.
 
     Files stripe from different start OSTs, so each file's degraded-read
     meta-events must be read through *its own* data placement; the merge
@@ -153,7 +153,7 @@ def _locate_rebuilds(res) -> Dict[int, int]:
     events: Dict[int, int] = {}
     for path, f in sorted(res.iosys._files.items()):
         sub = res.trace.filter(path=path)
-        for r in find_rebuild_pressure(sub, f.placement):
+        for r in find_averted_faults(sub, f.placement):
             events[r.ost] = events.get(r.ost, 0) + r.n_events
     return events
 

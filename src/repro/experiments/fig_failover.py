@@ -34,7 +34,7 @@ import numpy as np
 
 from ..apps.harness import SimJob
 from ..ensembles.diagnose import diagnose
-from ..ensembles.locate import find_masked_faults
+from ..ensembles.locate import find_averted_faults
 from ..iosys.faults import STALL, FaultSchedule, FaultWindow
 from ..iosys.machine import MachineConfig, MiB
 from ..iosys.posix import O_CREAT, O_RDWR
@@ -116,12 +116,12 @@ def _locate_sick(res) -> Dict[int, int]:
     """Per-file masked-fault attribution, merged over the namespace.
 
     Files are striped from different start OSTs, so each file's failover
-    meta-events must be read through *its own* primary layout; the merge
+    meta-events must be read through *its own* placement; the merge
     counts steering events per device across every file."""
     events: Dict[int, int] = {}
     for path, f in sorted(res.iosys._files.items()):
         sub = res.trace.filter(path=path)
-        for m in find_masked_faults(sub, f.layout):
+        for m in find_averted_faults(sub, f.placement):
             events[m.ost] = events.get(m.ost, 0) + m.n_events
     return events
 

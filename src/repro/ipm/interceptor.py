@@ -267,7 +267,7 @@ class IpmIo:
             # replica copy: ``size`` holds the number of copies bypassed
             # and ``duration`` the stall time the steer *averted* (the
             # worst remaining stall window at the switch) -- the recovered
-            # tail time the masked-fault analysis attributes back to the
+            # tail time the averted-fault analysis attributes back to the
             # sick device.  Not a data op; byte accounting is untouched.
             self._collector.record(
                 self.rank,
@@ -284,7 +284,7 @@ class IpmIo:
             # A meta-event per erasure-coded read rebuilt from survivors:
             # ``size`` holds the number of stripe groups reconstructed
             # and ``duration`` the stall time the rebuild *averted* --
-            # what the rebuild-pressure analysis attributes back to the
+            # what the averted-fault analysis attributes back to the
             # lost device.  Not a data op; byte accounting is untouched.
             self._collector.record(
                 self.rank,

@@ -15,7 +15,7 @@ import pytest
 from repro.apps.harness import SimJob
 from repro.cli import build_parser, main as cli_main
 from repro.ensembles.diagnose import diagnose
-from repro.ensembles.locate import find_rebuild_pressure
+from repro.ensembles.locate import find_averted_faults
 from repro.experiments import ALL_EXPERIMENTS
 from repro.iosys.erasure import ErasureCodedLayout
 from repro.iosys.faults import STALL, FaultSchedule, FaultWindow
@@ -316,14 +316,14 @@ def test_trace_carries_degraded_read_meta_events():
     assert float(events.durations.max()) > 0
 
 
-# -- rebuild-pressure analysis -------------------------------------------------
+# -- averted-fault analysis ----------------------------------------------------
 
 def test_rebuild_pressure_names_the_lost_device():
     res = _run()
     votes = {}
     for path, f in res.iosys._files.items():
         sub = res.trace.filter(path=path)
-        for r in find_rebuild_pressure(sub, f.placement):
+        for r in find_averted_faults(sub, f.placement):
             votes[r.ost] = votes.get(r.ost, 0) + r.n_events
     assert votes
     assert max(votes, key=votes.get) == SICK

@@ -12,7 +12,7 @@ import pytest
 from repro.apps.harness import SimJob
 from repro.cli import build_parser, main as cli_main
 from repro.ensembles.diagnose import diagnose
-from repro.ensembles.locate import find_masked_faults
+from repro.ensembles.locate import find_averted_faults
 from repro.experiments import ALL_EXPERIMENTS
 from repro.iosys.faults import STALL, FaultSchedule, FaultWindow
 from repro.iosys.machine import MachineConfig, MiB
@@ -216,14 +216,15 @@ def test_trace_carries_failover_meta_events():
     assert float(events.durations.max()) > 0
 
 
-# -- masked-fault analysis -----------------------------------------------------
+# -- averted-fault analysis ----------------------------------------------------
 
 def test_masked_fault_names_the_sick_device():
     res = _run(2, failover=True, device=1)
     # file-per-task: attribute each file's events through its own layout
     votes = {}
     for path, f in res.iosys._files.items():
-        for m in find_masked_faults(res.trace.filter(path=path), f.layout):
+        sub = res.trace.filter(path=path)
+        for m in find_averted_faults(sub, f.placement):
             votes[m.ost] = votes.get(m.ost, 0) + m.n_events
     assert votes
     assert max(votes, key=votes.get) == 1
@@ -249,19 +250,23 @@ def test_diagnose_reports_failover_masked_fault():
 
 def test_masked_fault_with_every_ost_holding_a_copy():
     """replica_count == n_osts: every device holds a copy of every
-    stripe, so the union footprint is the whole pool.  The analysis must
-    survive the degenerate geometry (no device is distinguishable by
-    placement) without crashing, and failover still masks the stall."""
+    stripe, so the union footprint is the whole pool and no device is
+    distinguishable by it.  Failover still masks the stall, and the
+    analysis attributes each failover through the placement's *primary*
+    layout -- the copy the client abandoned -- so the sick device still
+    stands out."""
     res = _run(NOSTS, failover=True, device=1)
     assert res.meta["failovers"] > 0
     votes = {}
     for path, f in res.iosys._files.items():
         sub = res.trace.filter(path=path)
-        for m in find_masked_faults(sub, f.placement):
+        for m in find_averted_faults(sub, f.placement):
             votes[m.ost] = votes.get(m.ost, 0) + m.n_events
-    # attribution through the union footprint spreads over the pool;
-    # the sick device must at least be among the accused
-    assert 1 in votes
+    # through the union footprint every device would tie; through the
+    # primary layout the sick device strictly leads
+    top = max(votes.values())
+    assert votes.get(1) == top
+    assert [d for d, n in votes.items() if n == top] == [1]
     findings = diagnose(res.trace, nranks=2)
     assert isinstance(findings, list)  # window-only diagnosis, no crash
 
@@ -275,7 +280,8 @@ def test_stall_window_after_last_io_yields_no_finding():
     assert res.meta["failovers"] == 0
     assert len(res.trace.filter(ops=["failover"])) == 0
     for path, f in res.iosys._files.items():
-        assert find_masked_faults(res.trace.filter(path=path), f.layout) == []
+        sub = res.trace.filter(path=path)
+        assert find_averted_faults(sub, f.placement) == []
     path, f = next(iter(sorted(res.iosys._files.items())))
     findings = [
         f2
