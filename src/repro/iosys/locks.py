@@ -53,18 +53,18 @@ class ExtentLockTracker:
         """
         if length <= 0:
             return 0.0
+        if offset < 0:
+            raise ValueError("offset/length must be non-negative")
+        size = layout.stripe_size
+        end = offset + length
         penalty = 0.0
-        for ext in layout.extents(offset, length):
-            stripe = ext.stripe_index
+        for stripe in range(offset // size, (end - 1) // size + 1):
             owner = self._owner.get(stripe)
             if owner is None:
                 self.grants += 1
             elif owner != client:
                 self.revocations += 1
-                full = (
-                    ext.offset == stripe * layout.stripe_size
-                    and ext.length == layout.stripe_size
-                )
+                full = offset <= stripe * size and end >= (stripe + 1) * size
                 discount = full_stripe_discount if full else 1.0
                 penalty += self.revoke_cost * scale * discount
             self._owner[stripe] = client

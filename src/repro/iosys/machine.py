@@ -17,6 +17,7 @@ speedups); they are not claimed to be the machines' exact hardware values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
@@ -249,9 +250,16 @@ class MachineConfig:
             raise ValueError("sizes must be positive")
         if not self.discipline_weights:
             raise ValueError("discipline_weights must be non-empty")
-        for slots in self.discipline_weights:
+        for slots, weight in self.discipline_weights.items():
             if slots < 1:
                 raise ValueError("discipline slot counts must be >= 1")
+            if not 0.0 <= weight < math.inf:
+                raise ValueError(
+                    f"discipline_weights[{slots}] must be finite and >= 0, "
+                    f"got {weight!r}"
+                )
+        if not sum(self.discipline_weights.values()) > 0:
+            raise ValueError("discipline_weights must not all be zero")
         for ost, factor in self.ost_slowdown.items():
             if not (0 <= ost < self.n_osts):
                 raise ValueError(f"slow OST index {ost} out of range")

@@ -9,6 +9,14 @@ functions here answer the questions the penalty model needs:
 - which stripes are only *partially* covered (triggering read-modify-write
   at the server for writes).
 
+These are answered in closed form from the first and last stripe index:
+``bytes_per_ost``, ``osts_touched``, ``boundary_crossings`` and
+``partial_stripes`` build no per-stripe records, so their cost does not
+grow with the number of stripes a write spans.  ``extents`` materialises
+one :class:`Extent` per stripe for the callers that need the records
+themselves (the stripe-group maths of erasure coding) and serves as the
+reference the closed forms are tested against.
+
 Every file's *placement* answers the small :class:`Placement` contract.
 A plain file's placement is its :class:`StripeLayout`; mirrored and
 erasure-coded files wrap one (``replication.py``, ``erasure.py``).
@@ -122,10 +130,29 @@ class StripeLayout:
         return out
 
     def bytes_per_ost(self, offset: int, length: int) -> Dict[int, int]:
-        """Total bytes an extent sends to each OST."""
+        """Total bytes an extent sends to each OST, keyed in the order the
+        extent first touches each device.
+
+        Closed form: every touched OST holds whole stripes of the range
+        ``first..last`` (one per ``stripe_count`` stripes), less the head
+        trim on the first stripe and the tail trim on the last.
+        """
+        if offset < 0 or length < 0:
+            raise ValueError("offset/length must be non-negative")
+        if length == 0:
+            return {}
+        size = self.stripe_size
+        count = self.stripe_count
+        end = offset + length
+        first = offset // size
+        last = (end - 1) // size
+        if first == last:
+            return {self.ost_of_stripe(first): length}
         acc: Dict[int, int] = {}
-        for ext in self.extents(offset, length):
-            acc[ext.ost] = acc.get(ext.ost, 0) + ext.length
+        for k in range(first, min(last + 1, first + count)):
+            acc[self.ost_of_stripe(k)] = ((last - k) // count + 1) * size
+        acc[self.ost_of_stripe(first)] -= offset - first * size
+        acc[self.ost_of_stripe(last)] -= (last + 1) * size - end
         return acc
 
     def osts_touched(self, offset: int, length: int) -> Tuple[int, ...]:
@@ -167,13 +194,15 @@ class StripeLayout:
         """
         if length <= 0:
             return 0
-        n = 0
-        for ext in self.extents(offset, length):
-            stripe_start = ext.stripe_index * self.stripe_size
-            full = ext.offset == stripe_start and ext.length == self.stripe_size
-            if not full:
-                n += 1
-        return n
+        if offset < 0:
+            raise ValueError("offset/length must be non-negative")
+        size = self.stripe_size
+        end = offset + length
+        head = offset % size != 0
+        tail = end % size != 0
+        if offset // size == (end - 1) // size:  # one stripe: partial
+            return int(head or tail)              # unless covered exactly
+        return int(head) + int(tail)  # interior stripes are always full
 
     def is_aligned(self, offset: int, length: int) -> bool:
         """True when the extent starts and ends on stripe boundaries."""

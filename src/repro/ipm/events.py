@@ -13,6 +13,7 @@ property the paper leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -192,11 +193,13 @@ class Trace:
 
     # -- filters ------------------------------------------------------------
     def _mask_select(self, mask: np.ndarray) -> "Trace":
-        idx = np.nonzero(mask)[0]
+        # ``compress`` walks each column once in C against a list of bool
+        # singletons: no per-row index objects, no per-row Python step
+        keep = mask.tolist()
         out = Trace()
         for col in self._COLUMNS:
             src = getattr(self, f"_{col}")
-            getattr(out, f"_{col}").extend(src[i] for i in idx)
+            getattr(out, f"_{col}").extend(compress(src, keep))
         return out
 
     def filter(

@@ -65,10 +65,28 @@ class RngStreams:
     def choice_weighted(
         self, name: str, options: Sequence[Any], weights: Sequence[float]
     ) -> Any:
-        """Draw one of ``options`` with the given weights."""
+        """Draw one of ``options`` with the given weights.
+
+        Consumes one ``random()`` draw and inverts the normalised CDF, the
+        same arithmetic as ``Generator.choice(len(options), p=...)``: the
+        index and the stream state afterwards are identical, without the
+        general-purpose call's argument handling.
+        """
         w = np.asarray(weights, dtype=float)
-        w = w / w.sum()
-        idx = int(self.stream(name).choice(len(options), p=w))
+        if w.ndim != 1 or len(w) == 0 or len(w) != len(options):
+            raise ValueError(
+                f"choice_weighted needs one weight per option: "
+                f"{len(options)} options, weights {weights!r}"
+            )
+        total = w.sum()
+        if not (((w >= 0) & (w < np.inf)).all() and 0 < total < np.inf):
+            raise ValueError(
+                f"choice_weighted weights must be finite, non-negative and "
+                f"not all zero: {weights!r}"
+            )
+        cdf = (w / total).cumsum()
+        cdf /= cdf[-1]
+        idx = int(cdf.searchsorted(self.stream(name).random(), side="right"))
         return options[idx]
 
     def uniform(self, name: str, low: float, high: float) -> float:

@@ -52,6 +52,22 @@ class TestTraceBasics:
         b.record(0, "write", "/f", 3, 0, 100, 0.0, 1.0)
         assert a[0] == b[0]
 
+    @pytest.mark.parametrize(
+        "kwargs, keep",
+        [
+            ({"ops": ["close"]}, lambda e: False),
+            ({}, lambda e: True),
+            ({"ops": ["write", "pread"]}, lambda e: e.op in ("write", "pread")),
+            ({"ranks": [1], "min_size": 250},
+             lambda e: e.rank == 1 and e.size >= 250),
+        ],
+        ids=["all-false", "all-true", "mixed-ops", "mixed-rank-size"],
+    )
+    def test_filter_selects_like_per_event_selection(self, kwargs, keep):
+        tr = sample_trace()
+        out = tr.filter(**kwargs)
+        assert list(out) == [e for e in tr if keep(e)]
+
     def test_extend_concatenates(self):
         a, b = sample_trace(), sample_trace()
         a.extend(b)

@@ -62,6 +62,24 @@ class TestMachineConfig:
         with pytest.raises(ValueError):
             MachineConfig(ost_slowdown={0: 0.5})
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {2: -1.0},
+            {1: 0.5, 2: float("nan")},
+            {4: float("inf")},
+            {1: 0.0},
+            {1: 0.0, 2: 0.0},
+        ],
+    )
+    def test_discipline_weights_validated(self, weights):
+        with pytest.raises(ValueError, match="discipline_weights"):
+            MachineConfig.franklin(discipline_weights=weights)
+
+    def test_zero_weight_beside_positive_is_allowed(self):
+        cfg = MachineConfig.franklin(discipline_weights={1: 0.0, 2: 1.0})
+        assert cfg.discipline_weights == {1: 0.0, 2: 1.0}
+
     def test_units(self):
         assert KiB == 1024 and MiB == 1024**2 and GiB == 1024**3
 

@@ -62,6 +62,39 @@ class TestRngStreams:
         r = RngStreams(0)
         assert r.choice_weighted("d", [42], [1.0]) == 42
 
+    def test_choice_weighted_matches_generator_choice(self):
+        """Same index as ``Generator.choice(n, p=...)`` on a twin stream,
+        call after call, and the same stream state afterwards."""
+        fast = RngStreams(2024)
+        twin = RngStreams(2024).stream("d")
+        spec = np.random.default_rng(99)
+        for _ in range(3000):
+            n = int(spec.integers(1, 7))
+            weights = spec.random(n) * spec.choice([1e-3, 1.0, 1e6])
+            weights[spec.random(n) < 0.2] = 0.0
+            if not weights.any():
+                weights[-1] = 0.5
+            options = list(range(n))
+            expected = int(twin.choice(n, p=weights / weights.sum()))
+            drawn = fast.choice_weighted("d", options, list(weights))
+            assert drawn == expected
+        assert fast.stream("d").random() == twin.random()
+
+    @pytest.mark.parametrize(
+        "options, weights",
+        [
+            ([], []),
+            ([1, 2], [1.0]),
+            ([1, 2], [1.0, -0.5]),
+            ([1, 2], [1.0, float("nan")]),
+            ([1, 2], [1.0, float("inf")]),
+            ([1, 2], [0.0, 0.0]),
+        ],
+    )
+    def test_choice_weighted_rejects_bad_weights(self, options, weights):
+        with pytest.raises(ValueError, match="choice_weighted"):
+            RngStreams(0).choice_weighted("d", options, weights)
+
     def test_uniform_bounds(self):
         r = RngStreams(9)
         draws = [r.uniform("u", 2.0, 5.0) for _ in range(500)]
